@@ -4,6 +4,10 @@ Machine-readable JSON goes to stdout, short human summaries to stderr.
 Exit codes: 0 all checks passed, 1 a check failed (the JSON carries the
 violation report), 2 usage or input/parse errors.  Randomized subcommands
 take ``--seed`` (fixed default) and echo it in the output.
+
+Each handler returns ``(output, ok, note)``: a JSON object or a text grid
+for stdout, whether every check passed, and a stderr summary or None.
+:func:`run` alone prints them and maps outcomes and errors to exit codes.
 """
 
 from __future__ import annotations
@@ -41,21 +45,14 @@ EXIT_USAGE = 2
 
 DEFAULT_SEED = 0
 
+_Result = tuple[Any, bool, "str | None"]
+
 
 def _read_json(path: str) -> Any:
     if path == "-":
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _emit(obj: Any) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _note(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 def _load_matrix(path: str):
@@ -74,67 +71,50 @@ def _load_zero(path: str) -> zerofrieze.ZeroFrieze:
 # ---------------------------------------------------------------- matrix ops
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Result:
     m = _load_matrix(args.matrix)
-    report = validate(m)
-    out = serialize.report_to_json(report)
+    out = serialize.report_to_json(validate(m))
     if args.ptolemy:
         ptolemy = check_ptolemy(m)
         out["ptolemy"] = serialize.report_to_json(ptolemy)
         out["ok"] = out["ok"] and ptolemy.ok
-    _emit(out)
     if out["ok"]:
-        _note("validate: ok")
-    else:
-        first = out["violations"][0] if out["violations"] else out["ptolemy"]["violations"][0]
-        total = len(out["violations"]) + len(out.get("ptolemy", {}).get("violations", []))
-        _note(
-            f"validate: {total} violation(s), first: {first['rule']} at "
-            f"{tuple(first['indices'])}: {first['lhs']} != {first['rhs']}"
-        )
-    return EXIT_OK if out["ok"] else EXIT_CHECK_FAILED
+        return out, True, "validate: ok"
+    violations = out["violations"] + out.get("ptolemy", {}).get("violations", [])
+    first = violations[0]
+    return out, False, (
+        f"validate: {len(violations)} violation(s), first: {first['rule']} at "
+        f"{tuple(first['indices'])}: {first['lhs']} != {first['rhs']}"
+    )
 
 
-def _cmd_det(args) -> int:
+def _cmd_det(args) -> _Result:
     m = _load_matrix(args.matrix)
-    out: dict[str, Any] = {"n": m.n, "method": args.method}
-    if args.method in ("closed", "both"):
+    if args.method != "eliminate":
         report = validate(m)
         if not report.ok:
-            _emit(
-                {
-                    "ok": False,
-                    "error": "closed-form determinant needs a valid frieze matrix",
-                    "violations": serialize.report_to_json(report)["violations"],
-                }
-            )
-            _note("det: input failed validation")
-            return EXIT_CHECK_FAILED
-    if args.method == "closed":
-        out["det"] = format_element(det_closed_form(m))
-    elif args.method == "eliminate":
-        out["det"] = format_element(det_elimination(m))
-    else:
+            error = "closed-form determinant needs a valid frieze matrix"
+            violations = serialize.report_to_json(report)["violations"]
+            failed = {"ok": False, "error": error, "violations": violations}
+            return failed, False, "det: input failed validation"
+    out: dict[str, Any] = {"n": m.n, "method": args.method}
+    if args.method == "both":
         closed = det_closed_form(m)
         elim = det_elimination(m)
         out["closed"] = format_element(closed)
         out["elimination"] = format_element(elim)
         out["equal"] = closed == elim
-        _emit(out)
-        _note(f"det: {out['closed']} (both methods agree: {out['equal']})")
-        return EXIT_OK if out["equal"] else EXIT_CHECK_FAILED
-    _emit(out)
-    _note(f"det: {out['det']}")
-    return EXIT_OK
+        return out, out["equal"], f"det: {out['closed']} (both methods agree: {out['equal']})"
+    det = det_closed_form(m) if args.method == "closed" else det_elimination(m)
+    out["det"] = format_element(det)
+    return out, True, f"det: {out['det']}"
 
 
-def _cmd_triangulate(args) -> int:
+def _cmd_triangulate(args) -> _Result:
     m = _load_matrix(args.matrix)
     report = validate(m)
     if not report.ok:
-        _emit(serialize.report_to_json(report))
-        _note("triangulate: input failed validation")
-        return EXIT_CHECK_FAILED
+        return serialize.report_to_json(report), False, "triangulate: input failed validation"
     t, trace = triangulate(m, keep_trace=args.trace)
     out: dict[str, Any] = {"t": serialize.triangular_to_json(t)}
     ok = True
@@ -153,14 +133,11 @@ def _cmd_triangulate(args) -> int:
         out["properties"] = serialize.report_to_json(props)
         ok = ok and props.ok
     if args.grid:
-        print(serialize.render_matrix_grid(t))
-    else:
-        _emit(out)
-    _note("triangulate: ok" if ok else "triangulate: check failed")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        out = serialize.render_matrix_grid(t)
+    return out, ok, "triangulate: ok" if ok else "triangulate: check failed"
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> _Result:
     m = _load_matrix(args.matrix)
     value = reconstruct_entry(m, args.i, args.j)
     stored = m.entry(args.i, args.j)
@@ -171,114 +148,72 @@ def _cmd_reconstruct(args) -> int:
         "stored": format_element(stored),
         "equal": value == stored,
     }
-    _emit(out)
-    _note(f"reconstruct ({args.i},{args.j}): {out['reconstructed']}")
-    return EXIT_OK if out["equal"] else EXIT_CHECK_FAILED
+    return out, out["equal"], f"reconstruct ({args.i},{args.j}): {out['reconstructed']}"
 
 
-# ---------------------------------------------------------------- frieze ops
+# ------------------------------------------------------- frieze and 0-frieze
 
 
-def _cmd_frieze_gen(args) -> int:
-    f = _load_frieze(args.seeds)
+def _window(entry, args, head: dict[str, Any], shift: int = 0) -> _Result:
+    """Rows r = 0..rows-1 of entry(i, i+r+shift), i in [start, start+cols),
+    as a grid or as JSON after the keys in ``head``."""
+    columns = range(args.start, args.start + args.cols)
+    rows = [[entry(i, i + r + shift) for i in columns] for r in range(args.rows)]
     if args.grid:
-        print(serialize.render_frieze_grid(f, args.rows, args.cols, args.start))
-        return EXIT_OK
-    rows = [
-        [
-            format_element(f.entry(i, i + r))
-            for i in range(args.start, args.start + args.cols)
-        ]
-        for r in range(args.rows)
-    ]
-    _emit(
-        {
-            "field": serialize.field_to_json(f.field),
-            "col_start": args.start,
-            "rows": rows,
-        }
-    )
-    return EXIT_OK
+        return serialize.render_frieze_grid(rows), True, None
+    out = {
+        **head,
+        "col_start": args.start,
+        "rows": [[format_element(e) for e in row] for row in rows],
+    }
+    return out, True, None
 
 
-def _cmd_frieze_cone(args) -> int:
+def _cmd_frieze_gen(args) -> _Result:
+    f = _load_frieze(args.seeds)
+    return _window(f.entry, args, {"field": serialize.field_to_json(f.field)})
+
+
+def _cmd_frieze_cone(args) -> _Result:
     f = _load_frieze(args.seeds)
     entries = cone_entries(f, ConeSpec(args.i, args.j))
-    _emit(
-        {
-            "i": args.i,
-            "j": args.j,
-            "entries": [
-                {"x": x, "y": y, "value": format_element(v)}
-                for (x, y), v in entries
-            ],
-        }
-    )
-    _note(f"cone of ({args.i},{args.j}): {len(entries)} entries")
-    return EXIT_OK
+    out = {
+        "i": args.i,
+        "j": args.j,
+        "entries": [
+            {"x": x, "y": y, "value": format_element(v)} for (x, y), v in entries
+        ],
+    }
+    return out, True, f"cone of ({args.i},{args.j}): {len(entries)} entries"
 
 
-def _cmd_frieze_extract(args) -> int:
+def _cmd_frieze_extract(args) -> _Result:
     f = _load_frieze(args.seeds)
     if args.sign == "plus":
         m = extract_m_plus(f, args.k, args.n)
     else:
         m = extract_m_minus(f, args.k, args.n)
-    if args.grid:
-        print(serialize.render_matrix_grid(m))
-    else:
-        _emit(serialize.matrix_to_json(m))
-    _note(f"extracted {args.n}x{args.n} matrix at k={args.k} ({args.sign})")
-    return EXIT_OK
+    out = serialize.render_matrix_grid(m) if args.grid else serialize.matrix_to_json(m)
+    return out, True, f"extracted {args.n}x{args.n} matrix at k={args.k} ({args.sign})"
 
 
-def _cmd_frieze_period(args) -> int:
+def _cmd_frieze_period(args) -> _Result:
     f = _load_frieze(args.seeds)
     period = detect_period(f, args.max, args.depth, args.start)
-    _emit({"max_period": args.max, "depth": args.depth, "period": period})
-    _note(f"period: {period}")
-    return EXIT_OK
+    out = {"max_period": args.max, "depth": args.depth, "period": period}
+    return out, True, f"period: {period}"
 
 
-# ------------------------------------------------------------- 0-frieze ops
+def _cmd_zero_gen(args) -> _Result:
+    return _window(_load_zero(args.seeds).entry, args, {}, shift=-1)
 
 
-def _zero_rows(zf, rows: int, cols: int, start: int) -> list[list[str]]:
-    return [
-        [
-            format_element(zf.entry(i, i + r - 1))
-            for i in range(start, start + cols)
-        ]
-        for r in range(rows)
-    ]
+def _cmd_zero_from_frieze(args) -> _Result:
+    zf = zerofrieze.from_frieze(_load_frieze(args.seeds), args.k)
+    return _window(zf.entry, args, {"k": args.k}, shift=-1)
 
 
-def _cmd_zero_gen(args) -> int:
-    zf = _load_zero(args.seeds)
-    if args.grid:
-        print(serialize.render_zero_grid(zf, args.rows, args.cols, args.start))
-    else:
-        _emit({"col_start": args.start, "rows": _zero_rows(zf, args.rows, args.cols, args.start)})
-    return EXIT_OK
-
-
-def _cmd_zero_from_frieze(args) -> int:
-    f = _load_frieze(args.seeds)
-    zf = zerofrieze.from_frieze(f, args.k)
-    if args.grid:
-        print(serialize.render_zero_grid(zf, args.rows, args.cols, args.start))
-    else:
-        _emit(
-            {
-                "k": args.k,
-                "col_start": args.start,
-                "rows": _zero_rows(zf, args.rows, args.cols, args.start),
-            }
-        )
-    return EXIT_OK
-
-
-def _cmd_zero_check(args) -> int:
+def _cmd_zero_check(args) -> _Result:
     zf = _load_zero(args.seeds)
     cells = zerofrieze.window_cells(zf, args.start, args.cols, args.rows)
     report = zerofrieze.check_zero_diamond(cells)
@@ -293,9 +228,7 @@ def _cmd_zero_check(args) -> int:
     except FriezeError as exc:
         out["rank1"] = {"ok": False, "error": str(exc)}
         out["ok"] = False
-    _emit(out)
-    _note("zerofrieze check: ok" if out["ok"] else "zerofrieze check: failed")
-    return EXIT_OK if out["ok"] else EXIT_CHECK_FAILED
+    return out, out["ok"], "zerofrieze check: ok" if out["ok"] else "zerofrieze check: failed"
 
 
 # -------------------------------------------------------------- cc / bm ops
@@ -317,43 +250,6 @@ def _quiddity_report(q: classical.QuiddityData) -> tuple[dict[str, Any], bool]:
     return out, report.ok
 
 
-def _cmd_cc_check(args) -> int:
-    try:
-        values = [int(v) for v in args.quiddity.split(",")]
-        q = classical.QuiddityData(tuple(values))
-    except ValueError as exc:
-        _note(f"error: bad quiddity sequence: {exc}")
-        return EXIT_USAGE
-    out, ok = _quiddity_report(q)
-    _emit(out)
-    _note(f"cc check {args.quiddity}: {'ok' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _cmd_cc_random(args) -> int:
-    rng = random.Random(args.seed)
-    cases = []
-    all_ok = True
-    for _ in range(args.count):
-        t = generators.random_triangulation(rng, args.k)
-        q = classical.quiddity_from_triangulation(t)
-        out, ok = _quiddity_report(q)
-        out["triangulation"] = serialize.triangulation_to_json(t)["diagonals"]
-        cases.append(out)
-        all_ok = all_ok and ok
-    _emit(
-        {
-            "seed": args.seed,
-            "k": args.k,
-            "count": args.count,
-            "ok": all_ok,
-            "cases": cases,
-        }
-    )
-    _note(f"cc random: {args.count} cases at k={args.k}: {'ok' if all_ok else 'FAILED'}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-
-
 def _two_row_report(x: classical.TwoRowMatrix) -> tuple[dict[str, Any], bool]:
     try:
         report = classical.baur_marsh_det_check(x)
@@ -370,37 +266,74 @@ def _two_row_report(x: classical.TwoRowMatrix) -> tuple[dict[str, Any], bool]:
     return out, report.ok
 
 
-def _cmd_bm_check(args) -> int:
-    x = serialize.two_row_from_json(_read_json(args.matrix))
-    out, ok = _two_row_report(x)
-    _emit(out)
-    _note(f"bm check: {'ok' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+def _cc_case(rng: random.Random, k: int) -> tuple[dict[str, Any], bool]:
+    t = generators.random_triangulation(rng, k)
+    out, ok = _quiddity_report(classical.quiddity_from_triangulation(t))
+    out["triangulation"] = serialize.triangulation_to_json(t)["diagonals"]
+    return out, ok
 
 
-def _cmd_bm_random(args) -> int:
+def _bm_case(rng: random.Random, n: int) -> tuple[dict[str, Any], bool]:
+    return _two_row_report(generators.random_two_row_matrix(rng, n))
+
+
+def _random_checks(args, name: str, size: str, case) -> _Result:
+    """``args.count`` seeded cases of ``case(rng, args.<size>)``."""
     rng = random.Random(args.seed)
-    cases = []
-    all_ok = True
-    for _ in range(args.count):
-        x = generators.random_two_row_matrix(rng, args.n)
-        out, ok = _two_row_report(x)
-        cases.append(out)
-        all_ok = all_ok and ok
-    _emit(
-        {
-            "seed": args.seed,
-            "n": args.n,
-            "count": args.count,
-            "ok": all_ok,
-            "cases": cases,
-        }
-    )
-    _note(f"bm random: {args.count} cases at n={args.n}: {'ok' if all_ok else 'FAILED'}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    value = getattr(args, size)
+    reports = [case(rng, value) for _ in range(args.count)]
+    ok = all(case_ok for _, case_ok in reports)
+    out = {
+        "seed": args.seed,
+        size: value,
+        "count": args.count,
+        "ok": ok,
+        "cases": [report for report, _ in reports],
+    }
+    return out, ok, f"{name}: {args.count} cases at {size}={value}: {'ok' if ok else 'FAILED'}"
+
+
+def _cmd_cc_check(args) -> _Result:
+    q = classical.QuiddityData(tuple(int(v) for v in args.quiddity.split(",")))
+    out, ok = _quiddity_report(q)
+    return out, ok, f"cc check {args.quiddity}: {'ok' if ok else 'FAILED'}"
+
+
+def _cmd_cc_random(args) -> _Result:
+    return _random_checks(args, "cc random", "k", _cc_case)
+
+
+def _cmd_bm_check(args) -> _Result:
+    out, ok = _two_row_report(serialize.two_row_from_json(_read_json(args.matrix)))
+    return out, ok, f"bm check: {'ok' if ok else 'FAILED'}"
+
+
+def _cmd_bm_random(args) -> _Result:
+    return _random_checks(args, "bm random", "n", _bm_case)
 
 
 # ------------------------------------------------------------------- parser
+
+# Options that several subcommands share; each is declared only here.
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--seeds": {"required": True, "help": "seed JSON file"},
+    "--rows": {"type": int, "required": True},
+    "--cols": {"type": int, "required": True},
+    "--start": {"type": int, "default": 0, "help": "first column index"},
+    "--grid": {"action": "store_true", "help": "print a text grid instead of JSON"},
+    "--json": {"dest": "grid", "action": "store_false", "help": "print JSON (the default)"},
+    "--count": {"type": int, "required": True},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+}
+
+
+def _add_options(p, *names: str, **defaults: int) -> None:
+    """Add shared options to ``p``; a keyword default makes a required one optional."""
+    for name in names:
+        spec = dict(_OPTIONS[name])
+        if name[2:] in defaults:
+            spec.update(required=False, default=defaults[name[2:]])
+        p.add_argument(name, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,118 +343,94 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the frieze-matrix rules")
+    def command(group, name: str, handler, help: str):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command(sub, "validate", _cmd_validate, "check the frieze-matrix rules")
     p.add_argument("matrix", help="matrix JSON file (use - for stdin)")
     p.add_argument("--ptolemy", action="store_true", help="also check all quadruple relations")
-    p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("det", help="determinant, closed form and/or elimination")
+    p = command(sub, "det", _cmd_det, "determinant, closed form and/or elimination")
     p.add_argument("matrix")
     p.add_argument("--method", choices=["closed", "eliminate", "both"], default="both")
-    p.set_defaults(handler=_cmd_det)
 
-    p = sub.add_parser("triangulate", help="upper triangular companion matrix")
+    p = command(sub, "triangulate", _cmd_triangulate, "upper triangular companion matrix")
     p.add_argument("matrix")
     p.add_argument("--trace", action="store_true", help="record every elimination stage")
     p.add_argument("--check-props", action="store_true", dest="check_props",
                    help="verify the structural identities of the result")
-    p.add_argument("--grid", action="store_true", help="print a text grid instead of JSON")
-    p.set_defaults(handler=_cmd_triangulate)
+    _add_options(p, "--grid")
 
-    p = sub.add_parser("reconstruct", help="recover an entry from the first two rows")
+    p = command(sub, "reconstruct", _cmd_reconstruct, "recover an entry from the first two rows")
     p.add_argument("matrix")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=_cmd_reconstruct)
 
-    frieze = sub.add_parser("frieze", help="infinite friezes with coefficients")
-    fsub = frieze.add_subparsers(dest="subcommand", required=True)
+    fsub = sub.add_parser("frieze", help="infinite friezes with coefficients").add_subparsers(
+        dest="subcommand", required=True
+    )
 
-    p = fsub.add_parser("gen", help="evaluate and print rows of the frieze")
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--start", type=int, default=0, help="first column index")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--grid", action="store_true")
-    fmt.add_argument("--json", dest="grid", action="store_false")
-    p.set_defaults(handler=_cmd_frieze_gen, grid=False)
+    p = command(fsub, "gen", _cmd_frieze_gen, "evaluate and print rows of the frieze")
+    _add_options(p, "--seeds", "--rows", "--cols", "--start")
+    _add_options(p.add_mutually_exclusive_group(), "--grid", "--json")
 
-    p = fsub.add_parser("cone", help="all entries of the cone of (i, j)")
-    p.add_argument("--seeds", required=True)
+    p = command(fsub, "cone", _cmd_frieze_cone, "all entries of the cone of (i, j)")
+    _add_options(p, "--seeds")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=_cmd_frieze_cone)
 
-    p = fsub.add_parser("extract", help="cut an n x n frieze matrix out of the frieze")
-    p.add_argument("--seeds", required=True)
+    p = command(fsub, "extract", _cmd_frieze_extract, "cut an n x n frieze matrix out of the frieze")
+    _add_options(p, "--seeds")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sign", choices=["plus", "minus"], required=True)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--grid", action="store_true")
-    fmt.add_argument("--json", dest="grid", action="store_false")
-    p.set_defaults(handler=_cmd_frieze_extract, grid=False)
+    _add_options(p.add_mutually_exclusive_group(), "--grid", "--json")
 
-    p = fsub.add_parser("period", help="smallest diagonal-shift period on a window")
-    p.add_argument("--seeds", required=True)
+    p = command(fsub, "period", _cmd_frieze_period, "smallest diagonal-shift period on a window")
+    _add_options(p, "--seeds")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.set_defaults(handler=_cmd_frieze_period)
+    _add_options(p, "--start")
 
-    zero = sub.add_parser("zerofrieze", help="0-frieze patterns")
-    zsub = zero.add_subparsers(dest="subcommand", required=True)
+    zsub = sub.add_parser("zerofrieze", help="0-frieze patterns").add_subparsers(
+        dest="subcommand", required=True
+    )
 
-    p = zsub.add_parser("gen", help="evaluate rows from u/v seed rows")
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--grid", action="store_true")
-    p.set_defaults(handler=_cmd_zero_gen)
+    p = command(zsub, "gen", _cmd_zero_gen, "evaluate rows from u/v seed rows")
+    _add_options(p, "--seeds", "--rows", "--cols", "--start", "--grid")
 
-    p = zsub.add_parser("from-frieze", help="derive the 0-frieze of a frieze at k")
-    p.add_argument("--seeds", required=True, help="frieze seed JSON")
+    p = command(zsub, "from-frieze", _cmd_zero_from_frieze, "derive the 0-frieze of a frieze at k")
+    _add_options(p, "--seeds")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--grid", action="store_true")
-    p.set_defaults(handler=_cmd_zero_from_frieze)
+    _add_options(p, "--rows", "--cols", "--start", "--grid")
 
-    p = zsub.add_parser("check", help="zero-diamond and rank-1 checks on a window")
+    p = command(zsub, "check", _cmd_zero_check, "zero-diamond and rank-1 checks on a window")
     p.add_argument("seeds", help="0-frieze seed JSON file")
-    p.add_argument("--rows", type=int, default=6)
-    p.add_argument("--cols", type=int, default=10)
-    p.add_argument("--start", type=int, default=0)
-    p.set_defaults(handler=_cmd_zero_check)
+    _add_options(p, "--rows", "--cols", "--start", rows=6, cols=10)
 
-    cc = sub.add_parser("cc", help="finite integer friezes from quiddity sequences")
-    csub = cc.add_subparsers(dest="subcommand", required=True)
+    csub = sub.add_parser("cc", help="finite integer friezes from quiddity sequences").add_subparsers(
+        dest="subcommand", required=True
+    )
 
-    p = csub.add_parser("check", help="determinant check for one quiddity sequence")
+    p = command(csub, "check", _cmd_cc_check, "determinant check for one quiddity sequence")
     p.add_argument("--quiddity", required=True, help="comma-separated positive integers")
-    p.set_defaults(handler=_cmd_cc_check)
 
-    p = csub.add_parser("random", help="determinant checks for random triangulations")
+    p = command(csub, "random", _cmd_cc_random, "determinant checks for random triangulations")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(handler=_cmd_cc_random)
+    _add_options(p, "--count", "--seed")
 
-    bm = sub.add_parser("bm", help="matrices of 2x2 column minors")
-    bsub = bm.add_subparsers(dest="subcommand", required=True)
+    bsub = sub.add_parser("bm", help="matrices of 2x2 column minors").add_subparsers(
+        dest="subcommand", required=True
+    )
 
-    p = bsub.add_parser("check", help="determinant check for one 2 x n matrix")
+    p = command(bsub, "check", _cmd_bm_check, "determinant check for one 2 x n matrix")
     p.add_argument("--matrix", required=True, help="two-row JSON file")
-    p.set_defaults(handler=_cmd_bm_check)
 
-    p = bsub.add_parser("random", help="determinant checks for random 2 x n matrices")
+    p = command(bsub, "random", _cmd_bm_random, "determinant checks for random 2 x n matrices")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(handler=_cmd_bm_random)
+    _add_options(p, "--count", "--seed")
 
     return parser
 
@@ -533,18 +442,24 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.handler(args)
+        out, ok, note = args.handler(args)
     except FriezeError as exc:
-        _emit({"ok": False, "error": str(exc)})
-        _note(f"check failed: {exc}")
-        return EXIT_CHECK_FAILED
+        out, ok, note = {"ok": False, "error": str(exc)}, False, f"check failed: {exc}"
     except ZeroDivisionError as exc:
-        _emit({"ok": False, "error": f"division by zero: {exc}"})
-        _note(f"check failed: {exc}")
-        return EXIT_CHECK_FAILED
-    except (OSError, ValueError, IndexError, json.JSONDecodeError) as exc:
-        _note(f"error: {exc}")
+        out, ok, note = (
+            {"ok": False, "error": f"division by zero: {exc}"}, False, f"check failed: {exc}"
+        )
+    except (OSError, ValueError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if isinstance(out, str):
+        print(out)
+    else:
+        json.dump(out, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    if note is not None:
+        print(note, file=sys.stderr)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main() -> None:

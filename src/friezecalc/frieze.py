@@ -6,17 +6,19 @@ all other entries nonzero, and every diamond satisfying
     f[i,j]*f[i+1,j+1] - f[i+1,j]*f[i,j+1] = f[i,i+1]*f[j,j+1].
 
 It is determined by its first two nontrivial rows x_i = f[i,i+1] and
-y_i = f[i,i+2].  Entries are computed on demand along anti-diagonals and
-memoized; a zero entry below the second row is an error, raised eagerly.
+y_i = f[i,i+2].  Entries below them come on demand from the diamond engine
+shared with frieze matrices and 0-friezes (``matrix._DiamondRows``), which
+keeps each computed row as one run of columns; a zero entry below the
+second row is an error, raised eagerly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WindowExceededError, ZeroEntryError
-from .field import FieldDescriptor, FieldElement, _join
-from .matrix import FriezeMatrix
+from .errors import WindowExceededError
+from .field import FieldDescriptor, FieldElement
+from .matrix import FriezeMatrix, _DiamondRows
 
 __all__ = [
     "ConeSpec",
@@ -55,22 +57,12 @@ class SeedRow:
     def table(cls, start: int, values) -> "SeedRow":
         return cls(values, start=start)
 
-    @property
-    def is_cycle(self) -> bool:
-        return self.start is None
-
     def value(self, i: int) -> FieldElement:
         if self.start is None:
             return self.values[i % len(self.values)]
         if not (self.start <= i < self.start + len(self.values)):
             raise WindowExceededError(i, self.start, self.start + len(self.values))
         return self.values[i - self.start]
-
-    def field(self) -> FieldDescriptor:
-        fd = self.values[0].field
-        for v in self.values[1:]:
-            fd = _join(fd, v.field)
-        return fd
 
 
 @dataclass(frozen=True)
@@ -95,21 +87,28 @@ class ConeSpec:
 
 
 class InfiniteFrieze:
-    """Memoized evaluator for the entries f[i,j] of a frieze.
+    """Evaluator for the entries f[i,j] of a frieze.
 
-    Evaluation order never changes values: the memo is filled along
-    anti-diagonals by the fixed recurrence
+    Evaluation order never changes values: rows below y are filled by the
+    fixed recurrence
 
-        f[i,j] = (f[i,j-1]*f[i+1,j] - x_i*x_{j-1}) / f[i+1,j-1].
+        f[i,j] = (f[i,j-1]*f[i+1,j] - x_i*x_{j-1}) / f[i+1,j-1]
 
-    The memo fill is idempotent (the recurrence is deterministic over
-    immutable values), so behaviour is that of a pure function; instances
-    carry no locks, give each thread its own or share read-only.
+    and stored rows are only ever extended or recomputed, so behaviour is
+    that of a pure function; instances carry no locks, give each thread its
+    own or share read-only.
     """
 
     def __init__(self, seeds: FriezeSeeds):
         self.seeds = seeds
-        self._memo: dict[tuple[int, int], FieldElement] = {}
+        x = seeds.x.value
+        self._rows = _DiamondRows(
+            x,
+            seeds.y.value,
+            1,
+            "frieze entry ({i},{j}) is zero; the seeds generate no frieze",
+            lambda i, j: x(i) * x(j - 1),
+        )
 
     @property
     def field(self) -> FieldDescriptor:
@@ -118,46 +117,12 @@ class InfiniteFrieze:
     def x(self, i: int) -> FieldElement:
         return self.seeds.x.value(i)
 
-    def y(self, i: int) -> FieldElement:
-        return self.seeds.y.value(i)
-
-    def _base(self, i: int, j: int) -> FieldElement:
-        if j == i:
-            return self.field.zero
-        if j == i + 1:
-            return self.x(i)
-        return self.y(i)
-
-    def _get(self, i: int, j: int) -> FieldElement:
-        if j - i <= 2:
-            return self._base(i, j)
-        return self._memo[(i, j)]
-
     def entry(self, i: int, j: int) -> FieldElement:
         if j < i:
             raise ValueError(f"frieze entries need j >= i, got ({i},{j})")
-        if j - i <= 2:
-            return self._base(i, j)
-        memo = self._memo
-        if (i, j) in memo:
-            return memo[(i, j)]
-        for dist in range(3, j - i + 1):
-            for a in range(i, j - dist + 1):
-                if (a, a + dist) in memo:
-                    continue
-                num = (
-                    self._get(a, a + dist - 1) * self._get(a + 1, a + dist)
-                    - self.x(a) * self.x(a + dist - 1)
-                )
-                val = num / self._get(a + 1, a + dist - 1)
-                if val.is_zero:
-                    raise ZeroEntryError(
-                        (a, a + dist),
-                        f"frieze entry ({a},{a + dist}) is zero; "
-                        "the seeds generate no frieze",
-                    )
-                memo[(a, a + dist)] = val
-        return memo[(i, j)]
+        if j == i:
+            return self.field.zero
+        return self._rows.get(i, j)
 
 
 def cone_entries(

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .classical import Triangulation, TwoRowMatrix
+from .classical import Triangulation, TwoRowMatrix, delta_minor_matrix
 from .errors import ZeroEntryError, ZeroMinorError
-from .field import FieldDescriptor, FieldElement
+from .field import RATIONAL, FieldDescriptor, FieldElement
 from .matrix import FriezeMatrix, SeedData, build_from_seeds
 
 __all__ = [
@@ -64,13 +64,16 @@ def random_seed_data(rng: random.Random, n: int, field: FieldDescriptor) -> Seed
 def random_frieze_matrix(
     rng: random.Random, n: int, field: FieldDescriptor, max_tries: int = 500
 ) -> FriezeMatrix:
-    """Draw seeds until the construction succeeds (no zero entries)."""
+    """Draw seeds until the construction succeeds (no zero entries).
+
+    Raises ValueError when ``max_tries`` draws all fail.
+    """
     for _ in range(max_tries):
         try:
             return build_from_seeds(random_seed_data(rng, n, field), field)
-        except (ZeroEntryError, ZeroDivisionError):
+        except ZeroEntryError:
             continue
-    raise RuntimeError(f"no frieze matrix of size {n} found in {max_tries} tries")
+    raise ValueError(f"no frieze matrix of size {n} found in {max_tries} tries")
 
 
 def random_triangulation(rng: random.Random, k: int) -> Triangulation:
@@ -97,20 +100,18 @@ def random_triangulation(rng: random.Random, k: int) -> Triangulation:
 def random_two_row_matrix(
     rng: random.Random, n: int, max_abs: int = 9, max_tries: int = 500
 ) -> TwoRowMatrix:
-    """Integer 2 x n matrices, redrawn until every column minor is nonzero."""
-    from .field import RATIONAL
+    """Integer 2 x n matrices, redrawn until every column minor is nonzero.
 
+    Raises ValueError when ``max_tries`` draws all have a zero minor.
+    """
     for _ in range(max_tries):
         x = TwoRowMatrix(
             tuple(RATIONAL.from_int(rng.randint(-max_abs, max_abs)) for _ in range(n)),
             tuple(RATIONAL.from_int(rng.randint(-max_abs, max_abs)) for _ in range(n)),
         )
         try:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    if x.minor(i, j).is_zero:
-                        raise ZeroMinorError(i, j)
+            delta_minor_matrix(x)
         except ZeroMinorError:
             continue
         return x
-    raise RuntimeError(f"no nonzero-minor 2x{n} matrix found in {max_tries} tries")
+    raise ValueError(f"no nonzero-minor 2x{n} matrix found in {max_tries} tries")

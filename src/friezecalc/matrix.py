@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ZeroEntryError
 from .field import FieldDescriptor, FieldElement, _join, format_element
@@ -108,10 +109,6 @@ class FriezeMatrix:
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
         return self._rows
 
-    def x(self, i: int) -> FieldElement:
-        """First off-diagonal entry m[i,i+1]."""
-        return self.entry(i, i + 1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FriezeMatrix):
             return NotImplemented
@@ -144,6 +141,91 @@ class SeedData:
         return len(self.x) + 1
 
 
+class _DiamondRows:
+    """Entries e(i, j) of a frieze-like array, filled by the diamond rule
+
+        e(i,j) = (e(i,j-1)*e(i+1,j) - c(i,j)) / e(i+1,j-1)
+
+    from two seed rows e(i, i+base) = row0(i) and e(i, i+base+1) = row1(i).
+    Without a coefficient c (0-friezes) the subtraction is dropped.  This is
+    the one implementation of the recurrence: frieze matrices, infinite
+    friezes and 0-friezes differ only in their seeds, base and coefficient.
+
+    Each computed row d = j - i is stored as one run of consecutive columns
+    i.  A request evaluates the missing part of its cone by increasing d and
+    then i, and reads seeds and coefficients in the same fixed order, so
+    values and raised errors never depend on earlier requests.  A request
+    whose columns are disjoint from a stored run replaces that run.  Every
+    divisor is a seed or an entry already checked nonzero; a computed zero
+    raises :class:`ZeroEntryError` with ``zero_message.format(i=i, j=j)``.
+    """
+
+    __slots__ = ("_row0", "_row1", "_base", "_coeff", "_zero_message", "_starts", "_runs")
+
+    def __init__(self, row0, row1, base: int, zero_message: str, coeff=None):
+        self._row0 = row0
+        self._row1 = row1
+        self._base = base
+        self._coeff = coeff
+        self._zero_message = zero_message
+        # Row d = base + 2 + r holds e(i, i+d) for i in
+        # [_starts[r], _starts[r] + len(_runs[r])).
+        self._starts: list[int] = []
+        self._runs: list[list[FieldElement]] = []
+
+    def get(self, i: int, j: int) -> FieldElement:
+        """e(i, j) for j - i >= base."""
+        r = j - i - self._base - 2
+        if r < 0:
+            return self._row0(i) if r == -2 else self._row1(i)
+        if r < len(self._runs):
+            off = i - self._starts[r]
+            run = self._runs[r]
+            if 0 <= off < len(run):
+                return run[off]
+        for t in range(r + 1):
+            self._cover(t, i, i + r - t + 1)
+        return self._runs[r][i - self._starts[r]]
+
+    def _cover(self, r: int, lo: int, hi: int) -> None:
+        """Make row r hold columns [lo, hi), computing the missing ones in order."""
+        if r == len(self._runs):
+            self._starts.append(lo)
+            self._runs.append([])
+        start, run = self._starts[r], self._runs[r]
+        stop = start + len(run)
+        if hi < start or lo > stop:
+            start = stop = self._starts[r] = lo
+            run = self._runs[r] = []
+        if lo < start:
+            run[:0] = self._cells(r, lo, start)
+            self._starts[r] = lo
+        if stop < hi:
+            run.extend(self._cells(r, stop, hi))
+
+    def _row(self, r: int):
+        if r < 0:
+            return self._row0 if r == -2 else self._row1
+        start, run = self._starts[r], self._runs[r]
+        return lambda i: run[i - start]
+
+    def _cells(self, r: int, lo: int, hi: int) -> list[FieldElement]:
+        d = self._base + 2 + r
+        up, up2, coeff = self._row(r - 1), self._row(r - 2), self._coeff
+        out = []
+        for i in range(lo, hi):
+            num = up(i) * up(i + 1)
+            if coeff is not None:
+                num = num - coeff(i, i + d)
+            val = num / up2(i + 1)
+            if val.is_zero:
+                raise ZeroEntryError(
+                    (i, i + d), self._zero_message.format(i=i, j=i + d)
+                )
+            out.append(val)
+        return out
+
+
 def build_from_seeds(
     seeds: SeedData, field: FieldDescriptor | None = None
 ) -> FriezeMatrix:
@@ -153,32 +235,24 @@ def build_from_seeds(
     entry via  m[i,j] = (m[i,j-1]*m[i+1,j] - x_i*x_{j-1}) / m[i+1,j-1].
     Raises :class:`ZeroEntryError` (with the offending 1-based index) when
     a computed off-diagonal entry vanishes, i.e. the seeds generate no
-    frieze matrix, and ZeroDivisionError if a divisor vanishes.
+    frieze matrix.
     """
     fd = field if field is not None else _common_field(seeds.x + seeds.y)
     n = seeds.n
-    zero = fd.zero
-    m: list[list[FieldElement]] = [[zero] * n for _ in range(n)]
-    xs = seeds.x
-    for t, v in enumerate(xs):
-        m[t][t + 1] = m[t + 1][t] = v
-    for t, v in enumerate(seeds.y):
-        m[t][t + 2] = m[t + 2][t] = v
-    for dist in range(3, n):
-        for i in range(n - dist):
-            j = i + dist
-            denom = m[i + 1][j - 1]
-            if denom.is_zero:
-                raise ZeroDivisionError(
-                    f"zero divisor at entry ({i + 2},{j}) during construction"
-                )
-            val = (m[i][j - 1] * m[i + 1][j] - xs[i] * xs[j - 1]) / denom
-            if val.is_zero:
-                raise ZeroEntryError(
-                    (i + 1, j + 1),
-                    f"seeds generate a zero entry at ({i + 1},{j + 1})",
-                )
-            m[i][j] = m[j][i] = val
+    x, y = seeds.x, seeds.y
+    rows = _DiamondRows(
+        lambda i: x[i - 1],
+        lambda i: y[i - 1],
+        1,
+        "seeds generate a zero entry at ({i},{j})",
+        lambda i, j: x[i - 1] * x[j - 2],
+    )
+    # Fill the cone of m[1,n] first, so a zero is reported in anti-diagonal order.
+    rows.get(1, n)
+    m = [[fd.zero] * n for _ in range(n)]
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            m[i - 1][j - 1] = m[j - 1][i - 1] = rows.get(i, j)
     return FriezeMatrix(m)
 
 
@@ -257,7 +331,7 @@ class TriangularMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def field(self) -> FieldDescriptor:
         return _common_field(e for r in self.rows for e in r)
 

@@ -22,36 +22,32 @@ from .classical import Triangulation, TwoRowMatrix
 from .field import (
     RATIONAL,
     FieldDescriptor,
+    FieldElement,
     format_element,
     parse_element,
 )
-from .frieze import FriezeSeeds, InfiniteFrieze, SeedRow
+from .frieze import FriezeSeeds, SeedRow
 from .matrix import (
     FriezeMatrix,
     TriangularMatrix,
     ValidationReport,
     Violation,
 )
-from .zerofrieze import ZeroFrieze
 
 __all__ = [
     "field_from_json",
     "field_to_json",
     "frieze_seeds_from_json",
-    "frieze_seeds_to_json",
     "matrix_from_json",
     "matrix_to_json",
     "render_frieze_grid",
     "render_matrix_grid",
-    "render_zero_grid",
     "report_to_json",
     "triangular_to_json",
-    "triangulation_from_json",
     "triangulation_to_json",
     "two_row_from_json",
     "two_row_to_json",
     "zero_seeds_from_json",
-    "zero_seeds_to_json",
 ]
 
 
@@ -72,6 +68,14 @@ def field_from_json(obj: Any) -> FieldDescriptor:
             raise ValueError('quadratic field needs an integer "d"')
         return FieldDescriptor(obj["d"])
     raise ValueError(f'unknown field kind {kind!r}')
+
+
+def _element(s: Any, fd: FieldDescriptor) -> FieldElement:
+    """Parse one element of a document; a zero denominator is bad input."""
+    try:
+        return parse_element(str(s), fd)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"element {str(s)!r} has a zero denominator") from exc
 
 
 def matrix_to_json(m: FriezeMatrix) -> dict[str, Any]:
@@ -98,20 +102,15 @@ def matrix_from_json(obj: Any) -> FriezeMatrix:
     if not isinstance(entries, list) or not entries:
         raise ValueError('matrix needs a non-empty "entries" array')
     n = obj.get("n", len(entries))
+    if type(n) is not int:
+        raise ValueError('"n" must be an integer')
     if n != len(entries) or any(
         not isinstance(r, list) or len(r) != n for r in entries
     ):
         raise ValueError('"entries" must be an n x n array of strings')
     return FriezeMatrix(
-        [[parse_element(str(s), fd) for s in row] for row in entries]
+        [[_element(s, fd) for s in row] for row in entries]
     )
-
-
-def _seed_row_to_json(row: SeedRow) -> dict[str, Any]:
-    values = [format_element(v) for v in row.values]
-    if row.is_cycle:
-        return {"cycle": values}
-    return {"table": {"start": row.start, "values": values}}
 
 
 def _seed_row_from_json(obj: Any, fd: FieldDescriptor, name: str) -> SeedRow:
@@ -119,7 +118,7 @@ def _seed_row_from_json(obj: Any, fd: FieldDescriptor, name: str) -> SeedRow:
         values = obj["cycle"]
         if not isinstance(values, list) or not values:
             raise ValueError(f'"{name}.cycle" must be a non-empty array')
-        return SeedRow.cycle([parse_element(str(s), fd) for s in values])
+        return SeedRow.cycle([_element(s, fd) for s in values])
     if isinstance(obj, dict) and "table" in obj:
         table = obj["table"]
         if (
@@ -130,17 +129,9 @@ def _seed_row_from_json(obj: Any, fd: FieldDescriptor, name: str) -> SeedRow:
         ):
             raise ValueError(f'"{name}.table" needs "start" and "values"')
         return SeedRow.table(
-            table["start"], [parse_element(str(s), fd) for s in table["values"]]
+            table["start"], [_element(s, fd) for s in table["values"]]
         )
     raise ValueError(f'seed row "{name}" must carry "cycle" or "table"')
-
-
-def frieze_seeds_to_json(seeds: FriezeSeeds) -> dict[str, Any]:
-    return {
-        "field": field_to_json(seeds.field),
-        "x": _seed_row_to_json(seeds.x),
-        "y": _seed_row_to_json(seeds.y),
-    }
 
 
 def frieze_seeds_from_json(obj: Any) -> FriezeSeeds:
@@ -163,14 +154,6 @@ def zero_seeds_from_json(obj: Any) -> tuple[SeedRow, SeedRow, FieldDescriptor]:
         _seed_row_from_json(obj.get("v"), fd, "v"),
         fd,
     )
-
-
-def zero_seeds_to_json(u: SeedRow, v: SeedRow, fd: FieldDescriptor) -> dict[str, Any]:
-    return {
-        "field": field_to_json(fd),
-        "u": _seed_row_to_json(u),
-        "v": _seed_row_to_json(v),
-    }
 
 
 def two_row_to_json(x: TwoRowMatrix) -> dict[str, Any]:
@@ -196,24 +179,13 @@ def two_row_from_json(obj: Any) -> TwoRowMatrix:
     ):
         raise ValueError('"rows" must be two equally long arrays of strings')
     return TwoRowMatrix(
-        tuple(parse_element(str(s), fd) for s in rows[0]),
-        tuple(parse_element(str(s), fd) for s in rows[1]),
+        tuple(_element(s, fd) for s in rows[0]),
+        tuple(_element(s, fd) for s in rows[1]),
     )
 
 
 def triangulation_to_json(t: Triangulation) -> dict[str, Any]:
     return {"k": t.k, "diagonals": [list(d) for d in sorted(t.diagonals)]}
-
-
-def triangulation_from_json(obj: Any) -> Triangulation:
-    if not isinstance(obj, dict) or not isinstance(obj.get("k"), int):
-        raise ValueError('triangulation needs an integer "k"')
-    diagonals = obj.get("diagonals", [])
-    if not isinstance(diagonals, list) or any(
-        not isinstance(d, list) or len(d) != 2 for d in diagonals
-    ):
-        raise ValueError('"diagonals" must be an array of [p, q] pairs')
-    return Triangulation(obj["k"], frozenset((int(p), int(q)) for p, q in diagonals))
 
 
 def report_to_json(report: ValidationReport) -> dict[str, Any]:
@@ -228,43 +200,16 @@ def report_to_json(report: ValidationReport) -> dict[str, Any]:
     return {"ok": report.ok, "violations": [violation(v) for v in report.violations]}
 
 
-def _layout(rows: list[list[str]]) -> str:
-    """Half-step offset layout: row r is indented r half-cells."""
-    width = max((len(s) for row in rows for s in row), default=1) + 2
+def render_frieze_grid(rows: list[list[FieldElement]]) -> str:
+    """Frieze layout of the rows of a frieze or 0-frieze window: row r is
+    indented r half-cells."""
+    cells = [[format_element(e, compact=True) for e in row] for row in rows]
+    width = max((len(s) for row in cells for s in row), default=1) + 2
     half = width // 2 or 1
-    lines = []
-    for r, row in enumerate(rows):
-        cells = "".join(s.center(width) for s in row)
-        lines.append(" " * (r * half) + cells.rstrip())
-    return "\n".join(lines)
-
-
-def render_frieze_grid(
-    f: InfiniteFrieze, rows: int, cols: int, col_start: int = 0
-) -> str:
-    """Rows r = 0..rows-1 of entries f[i, i+r], i in [col_start, col_start+cols)."""
-    grid = [
-        [
-            format_element(f.entry(i, i + r), compact=True)
-            for i in range(col_start, col_start + cols)
-        ]
-        for r in range(rows)
-    ]
-    return _layout(grid)
-
-
-def render_zero_grid(
-    zf: ZeroFrieze, rows: int, cols: int, col_start: int = 0
-) -> str:
-    """Rows r = 0..rows-1 of entries t[i, i+r-1]; r = 0 is u, r = 1 is v."""
-    grid = [
-        [
-            format_element(zf.entry(i, i + r - 1), compact=True)
-            for i in range(col_start, col_start + cols)
-        ]
-        for r in range(rows)
-    ]
-    return _layout(grid)
+    return "\n".join(
+        " " * (r * half) + "".join(s.center(width) for s in row).rstrip()
+        for r, row in enumerate(cells)
+    )
 
 
 def render_matrix_grid(m: FriezeMatrix | TriangularMatrix) -> str:

@@ -4,7 +4,9 @@ A 0-frieze is a Z^2-indexed array t[i,j] (j >= i-1) of nonzero values with
 
     t[i,j]*t[i+1,j+1] - t[i+1,j]*t[i,j+1] = 0   for all j >= i,
 
-determined by its first two rows u_i = t[i,i-1] and v_i = t[i,i].  The
+determined by its first two rows u_i = t[i,i-1] and v_i = t[i,i].  Deeper
+rows come from the diamond engine shared with friezes and frieze matrices
+(``matrix._DiamondRows``) with the coefficient term set to zero.  The
 vanishing minors make every such array rank one: t[i,j] = a_i * b_j on any
 connected window, which :func:`rank1_factorize` recovers.
 """
@@ -16,7 +18,7 @@ from typing import Callable, Mapping
 from .errors import FactorizationImpossibleError, ZeroEntryError
 from .field import FieldDescriptor, FieldElement
 from .frieze import InfiniteFrieze, SeedRow
-from .matrix import RULE_ZERO_DIAMOND, ValidationReport, Violation
+from .matrix import RULE_ZERO_DIAMOND, ValidationReport, Violation, _DiamondRows
 
 __all__ = [
     "ZeroFrieze",
@@ -28,75 +30,51 @@ __all__ = [
 
 RULE_NONZERO = "nonzero"
 
-Row = "SeedRow | Callable[[int], FieldElement]"
 
+def _nonzero(row, name: str, shift: int) -> Callable[[int], FieldElement]:
+    """row(i) as the entry (i, i+shift), with a zero value raised as an error."""
+    fn = row.value if isinstance(row, SeedRow) else row
 
-def _as_fn(row) -> Callable[[int], FieldElement]:
-    if isinstance(row, SeedRow):
-        return row.value
-    return row
+    def read(i: int) -> FieldElement:
+        val = fn(i)
+        if val.is_zero:
+            raise ZeroEntryError((i, i + shift), f"{name}[{i}] is zero")
+        return val
+
+    return read
 
 
 class ZeroFrieze:
-    """Memoized evaluator for t[i,j] from the rows u and v.
+    """Evaluator for t[i,j] from the rows u and v.
 
     Rows may be :class:`SeedRow` values or arbitrary callables on Z (the
     latter is how 0-friezes derived from a frieze are backed).  Deeper rows
     follow t[i,j] = t[i,j-1]*t[i+1,j]/t[i+1,j-1]; the evaluation order
-    never changes values and the memo fill is idempotent, same ownership
-    contract as :class:`~friezecalc.frieze.InfiniteFrieze`.
+    never changes values, same ownership contract as
+    :class:`~friezecalc.frieze.InfiniteFrieze`.
     """
 
     def __init__(self, u, v, field: FieldDescriptor):
-        self._u = _as_fn(u)
-        self._v = _as_fn(v)
         self.field = field
-        self._memo: dict[tuple[int, int], FieldElement] = {}
+        # The seed readers must not refer back to self: a reference cycle
+        # would keep every evaluated row alive until the cyclic collector runs.
+        self._rows = _DiamondRows(
+            _nonzero(u, "u", -1),
+            _nonzero(v, "v", 0),
+            -1,
+            "0-frieze entry ({i},{j}) is zero; the rows admit no 0-frieze",
+        )
 
     def u(self, i: int) -> FieldElement:
-        val = self._u(i)
-        if val.is_zero:
-            raise ZeroEntryError((i, i - 1), f"u[{i}] is zero")
-        return val
+        return self._rows.get(i, i - 1)
 
     def v(self, i: int) -> FieldElement:
-        val = self._v(i)
-        if val.is_zero:
-            raise ZeroEntryError((i, i), f"v[{i}] is zero")
-        return val
-
-    def _get(self, i: int, j: int) -> FieldElement:
-        if j == i - 1:
-            return self.u(i)
-        if j == i:
-            return self.v(i)
-        return self._memo[(i, j)]
+        return self._rows.get(i, i)
 
     def entry(self, i: int, j: int) -> FieldElement:
         if j < i - 1:
             raise ValueError(f"0-frieze entries need j >= i-1, got ({i},{j})")
-        if j - i <= 0:
-            return self._get(i, j)
-        memo = self._memo
-        if (i, j) in memo:
-            return memo[(i, j)]
-        for dist in range(1, j - i + 1):
-            for a in range(i, j - dist + 1):
-                if (a, a + dist) in memo:
-                    continue
-                val = (
-                    self._get(a, a + dist - 1)
-                    * self._get(a + 1, a + dist)
-                    / self._get(a + 1, a + dist - 1)
-                )
-                if val.is_zero:
-                    raise ZeroEntryError(
-                        (a, a + dist),
-                        f"0-frieze entry ({a},{a + dist}) is zero; "
-                        "the rows admit no 0-frieze",
-                    )
-                memo[(a, a + dist)] = val
-        return memo[(i, j)]
+        return self._rows.get(i, j)
 
 
 def from_frieze(f: InfiniteFrieze, k: int) -> ZeroFrieze:

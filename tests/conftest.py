@@ -8,10 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from friezecalc import (
     RATIONAL,
     FieldDescriptor,
+    SeedRow,
     build_from_seeds,
     parse_element,
     serialize,
@@ -73,3 +75,38 @@ def corpus_quadratic():
     """50 random frieze matrices over Q(sqrt(5)) with n in [3, 12]."""
     rng = random.Random(5050)
     return [random_frieze_matrix(rng, 3 + i % 10, Q5) for i in range(50)]
+
+
+# Seed-row strategies over Q and Q(sqrt(5)) for the recurrence engine.
+seed_fields = st.sampled_from([RATIONAL, Q5])
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+def nonzero_elements(fd):
+    b = _small if not fd.is_rational else st.just(Fraction(0))
+    return st.builds(fd.element, _small, b).filter(lambda e: not e.is_zero)
+
+
+@st.composite
+def seed_rows(draw, fd):
+    """A cycle of 1-3 values, or a table of 4-12 values starting near 0."""
+    if draw(st.booleans()):
+        return SeedRow.cycle(draw(st.lists(nonzero_elements(fd), min_size=1, max_size=3)))
+    values = draw(st.lists(nonzero_elements(fd), min_size=4, max_size=12))
+    return SeedRow.table(draw(st.integers(-6, 0)), values)
+
+
+# Requests (i, d) for entry(i, i + d + shift): columns near 0, rows up to 7,
+# in any order, so later requests may extend stored rows to the left or
+# hit windows disjoint from earlier ones.
+entry_requests = st.lists(
+    st.tuples(st.integers(-4, 6), st.integers(0, 7)), min_size=2, max_size=8
+)
+
+
+def outcome(entry, i: int, j: int):
+    """The value of entry(i, j), or the type and text of the error it raises."""
+    try:
+        return entry(i, j)
+    except Exception as exc:  # errors are part of the outcome
+        return type(exc).__name__, str(exc)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from friezecalc.cli import run
 
 from conftest import FIXTURES
@@ -300,3 +302,30 @@ class TestCcAndBm:
         )
         code, out = run_json(capsys, ["bm", "check", "--matrix", str(doc)])
         assert code == 1 and not out["ok"]
+
+
+class TestBadInputExits2:
+    def test_bm_random_without_a_valid_draw(self, capsys):
+        assert run(["bm", "random", "--n", "30", "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "no nonzero-minor 2x30 matrix" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["validate"], {"n": 2, "entries": [["0", "1/0"], ["1/0", "0"]]}),
+            (["frieze", "gen", "--rows", "3", "--cols", "2", "--seeds"],
+             {"x": {"cycle": ["1/0"]}, "y": {"cycle": ["3"]}}),
+            (["bm", "check", "--matrix"], {"rows": [["1", "2"], ["3", "1/0"]]}),
+            (["validate"], {"n": 2.0, "entries": [["0", "1"], ["1", "0"]]}),
+            (["validate"], {"n": True, "entries": [["0", "1"], ["1", "0"]]}),
+        ],
+        ids=["matrix-1/0", "seeds-1/0", "two-row-1/0", "n-float", "n-bool"],
+    )
+    def test_bad_document(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friezecalc import (
     RATIONAL,
@@ -15,6 +17,7 @@ from friezecalc import (
     SeedRow,
     WindowExceededError,
     ZeroEntryError,
+    build_from_seeds,
     cone_entries,
     det_closed_form,
     det_elimination,
@@ -23,9 +26,18 @@ from friezecalc import (
     extract_m_plus,
     validate,
 )
+from friezecalc.matrix import SeedData
 from friezecalc.serialize import frieze_seeds_from_json
 
-from conftest import load_fixture, rat
+from conftest import (
+    entry_requests,
+    load_fixture,
+    nonzero_elements,
+    outcome,
+    rat,
+    seed_fields,
+    seed_rows,
+)
 
 
 def const_frieze(xv=2, yv=3) -> InfiniteFrieze:
@@ -204,3 +216,30 @@ class TestPeriod:
         )
         with pytest.raises(WindowExceededError):
             detect_period(f, 3, 3)
+
+
+class TestEngine:
+    """The diamond engine behind frieze matrices, friezes and 0-friezes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), seed_fields, st.integers(3, 9))
+    def test_matrix_is_the_cone_of_a_table_frieze(self, data, fd, n):
+        x = data.draw(st.lists(nonzero_elements(fd), min_size=n - 1, max_size=n - 1))
+        y = data.draw(st.lists(nonzero_elements(fd), min_size=n - 2, max_size=n - 2))
+        f = InfiniteFrieze(FriezeSeeds(SeedRow.table(1, x), SeedRow.table(1, y), fd))
+        try:
+            m = build_from_seeds(SeedData(x, y), fd)
+        except ZeroEntryError:
+            with pytest.raises(ZeroEntryError):
+                extract_m_plus(f, 1, n)
+            return
+        assert extract_m_plus(f, 1, n) == m
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), seed_fields, entry_requests)
+    def test_request_order_does_not_matter(self, data, fd, requests):
+        seeds = FriezeSeeds(data.draw(seed_rows(fd)), data.draw(seed_rows(fd)), fd)
+        shared = InfiniteFrieze(seeds)
+        for i, d in requests:
+            fresh = InfiniteFrieze(seeds)
+            assert outcome(shared.entry, i, i + d) == outcome(fresh.entry, i, i + d)

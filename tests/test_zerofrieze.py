@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friezecalc import (
     RATIONAL,
@@ -25,7 +27,7 @@ from friezecalc.generators import random_rational
 from friezecalc.matrix import SeedData
 from friezecalc.serialize import zero_seeds_from_json
 
-from conftest import load_fixture, rat
+from conftest import entry_requests, load_fixture, outcome, rat, seed_fields, seed_rows
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,16 @@ class TestRecursion:
         first = (za.entry(0, 5), za.entry(1, 3))
         second = (zb.entry(1, 3), zb.entry(0, 5))
         assert first == (second[1], second[0])
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), seed_fields, entry_requests)
+    def test_request_order_does_not_matter(self, data, fd, requests):
+        u, v = data.draw(seed_rows(fd)), data.draw(seed_rows(fd))
+        shared = ZeroFrieze(u, v, fd)
+        for i, d in requests:
+            fresh = ZeroFrieze(u, v, fd)
+            assert outcome(shared.entry, i, i + d - 1) == outcome(fresh.entry, i, i + d - 1)
 
 
 class TestFromFrieze:
