@@ -314,26 +314,76 @@ def _cmd_bm_random(args) -> _Result:
 
 # ------------------------------------------------------------------- parser
 
-# Options that several subcommands share; each is declared only here.
+def _positive(text: str) -> int:
+    """argparse type of a size or count: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# Every argument of every command, declared once: name -> add_argument keywords.
 _OPTIONS: dict[str, dict[str, Any]] = {
+    "matrix": {"help": "matrix JSON file (use - for stdin)"},
+    "seeds": {"help": "0-frieze seed JSON file"},
+    "--matrix": {"required": True, "help": "two-row JSON file"},
     "--seeds": {"required": True, "help": "seed JSON file"},
-    "--rows": {"type": int, "required": True},
-    "--cols": {"type": int, "required": True},
+    "--quiddity": {"required": True, "help": "comma-separated positive integers"},
+    "--ptolemy": {"action": "store_true", "help": "also check all quadruple relations"},
+    "--method": {"choices": ["closed", "eliminate", "both"], "default": "both"},
+    "--trace": {"action": "store_true", "help": "record every elimination stage"},
+    "--check-props": {"action": "store_true", "dest": "check_props",
+                      "help": "verify the structural identities of the result"},
+    **dict.fromkeys(["--i", "--j", "--k", "--n", "--max", "--depth"],
+                    {"type": int, "required": True}),
+    "--sign": {"choices": ["plus", "minus"], "required": True},
+    "--rows": {"type": _positive, "required": True},
+    "--cols": {"type": _positive, "required": True},
     "--start": {"type": int, "default": 0, "help": "first column index"},
     "--grid": {"action": "store_true", "help": "print a text grid instead of JSON"},
     "--json": {"dest": "grid", "action": "store_false", "help": "print JSON (the default)"},
-    "--count": {"type": int, "required": True},
+    "--count": {"type": _positive, "required": True},
     "--seed": {"type": int, "default": DEFAULT_SEED},
 }
 
-
-def _add_options(p, *names: str, **defaults: int) -> None:
-    """Add shared options to ``p``; a keyword default makes a required one optional."""
-    for name in names:
-        spec = dict(_OPTIONS[name])
-        if name[2:] in defaults:
-            spec.update(required=False, default=defaults[name[2:]])
-        p.add_argument(name, **spec)
+# Every command: words -> (handler, help, arguments).  A command without a
+# handler is a group of the commands named after it.  The arguments are
+# names from _OPTIONS in help order; "a|b" makes a mutually exclusive pair,
+# and "--rows=6" makes a required option optional with that default.
+_COMMANDS: dict[str, tuple[Any, str, str]] = {
+    "validate": (_cmd_validate, "check the frieze-matrix rules", "matrix --ptolemy"),
+    "det": (_cmd_det, "determinant, closed form and/or elimination", "matrix --method"),
+    "triangulate": (_cmd_triangulate, "upper triangular companion matrix",
+                    "matrix --trace --check-props --grid"),
+    "reconstruct": (_cmd_reconstruct, "recover an entry from the first two rows",
+                    "matrix --i --j"),
+    "frieze": (None, "infinite friezes with coefficients", ""),
+    "frieze gen": (_cmd_frieze_gen, "evaluate and print rows of the frieze",
+                   "--seeds --rows --cols --start --grid|--json"),
+    "frieze cone": (_cmd_frieze_cone, "all entries of the cone of (i, j)", "--seeds --i --j"),
+    "frieze extract": (_cmd_frieze_extract, "cut an n x n frieze matrix out of the frieze",
+                       "--seeds --k --n --sign --grid|--json"),
+    "frieze period": (_cmd_frieze_period, "smallest diagonal-shift period on a window",
+                      "--seeds --max --depth --start"),
+    "zerofrieze": (None, "0-frieze patterns", ""),
+    "zerofrieze gen": (_cmd_zero_gen, "evaluate rows from u/v seed rows",
+                       "--seeds --rows --cols --start --grid"),
+    "zerofrieze from-frieze": (_cmd_zero_from_frieze, "derive the 0-frieze of a frieze at k",
+                               "--seeds --k --rows --cols --start --grid"),
+    "zerofrieze check": (_cmd_zero_check, "zero-diamond and rank-1 checks on a window",
+                         "seeds --rows=6 --cols=10 --start"),
+    "cc": (None, "finite integer friezes from quiddity sequences", ""),
+    "cc check": (_cmd_cc_check, "determinant check for one quiddity sequence", "--quiddity"),
+    "cc random": (_cmd_cc_random, "determinant checks for random triangulations",
+                  "--k --count --seed"),
+    "bm": (None, "matrices of 2x2 column minors", ""),
+    "bm check": (_cmd_bm_check, "determinant check for one 2 x n matrix", "--matrix"),
+    "bm random": (_cmd_bm_random, "determinant checks for random 2 x n matrices",
+                  "--n --count --seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,97 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="friezecalc",
         description="Exact frieze-matrix calculator and identity checker.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(group, name: str, handler, help: str):
-        p = group.add_parser(name, help=help)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, (handler, help, arguments) in _COMMANDS.items():
+        group, _, name = words.rpartition(" ")
+        p = groups[group].add_parser(name, help=help)
+        if handler is None:
+            groups[words] = p.add_subparsers(dest="subcommand", required=True)
+            continue
         p.set_defaults(handler=handler)
-        return p
-
-    p = command(sub, "validate", _cmd_validate, "check the frieze-matrix rules")
-    p.add_argument("matrix", help="matrix JSON file (use - for stdin)")
-    p.add_argument("--ptolemy", action="store_true", help="also check all quadruple relations")
-
-    p = command(sub, "det", _cmd_det, "determinant, closed form and/or elimination")
-    p.add_argument("matrix")
-    p.add_argument("--method", choices=["closed", "eliminate", "both"], default="both")
-
-    p = command(sub, "triangulate", _cmd_triangulate, "upper triangular companion matrix")
-    p.add_argument("matrix")
-    p.add_argument("--trace", action="store_true", help="record every elimination stage")
-    p.add_argument("--check-props", action="store_true", dest="check_props",
-                   help="verify the structural identities of the result")
-    _add_options(p, "--grid")
-
-    p = command(sub, "reconstruct", _cmd_reconstruct, "recover an entry from the first two rows")
-    p.add_argument("matrix")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-
-    fsub = sub.add_parser("frieze", help="infinite friezes with coefficients").add_subparsers(
-        dest="subcommand", required=True
-    )
-
-    p = command(fsub, "gen", _cmd_frieze_gen, "evaluate and print rows of the frieze")
-    _add_options(p, "--seeds", "--rows", "--cols", "--start")
-    _add_options(p.add_mutually_exclusive_group(), "--grid", "--json")
-
-    p = command(fsub, "cone", _cmd_frieze_cone, "all entries of the cone of (i, j)")
-    _add_options(p, "--seeds")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-
-    p = command(fsub, "extract", _cmd_frieze_extract, "cut an n x n frieze matrix out of the frieze")
-    _add_options(p, "--seeds")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sign", choices=["plus", "minus"], required=True)
-    _add_options(p.add_mutually_exclusive_group(), "--grid", "--json")
-
-    p = command(fsub, "period", _cmd_frieze_period, "smallest diagonal-shift period on a window")
-    _add_options(p, "--seeds")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    _add_options(p, "--start")
-
-    zsub = sub.add_parser("zerofrieze", help="0-frieze patterns").add_subparsers(
-        dest="subcommand", required=True
-    )
-
-    p = command(zsub, "gen", _cmd_zero_gen, "evaluate rows from u/v seed rows")
-    _add_options(p, "--seeds", "--rows", "--cols", "--start", "--grid")
-
-    p = command(zsub, "from-frieze", _cmd_zero_from_frieze, "derive the 0-frieze of a frieze at k")
-    _add_options(p, "--seeds")
-    p.add_argument("--k", type=int, required=True)
-    _add_options(p, "--rows", "--cols", "--start", "--grid")
-
-    p = command(zsub, "check", _cmd_zero_check, "zero-diamond and rank-1 checks on a window")
-    p.add_argument("seeds", help="0-frieze seed JSON file")
-    _add_options(p, "--rows", "--cols", "--start", rows=6, cols=10)
-
-    csub = sub.add_parser("cc", help="finite integer friezes from quiddity sequences").add_subparsers(
-        dest="subcommand", required=True
-    )
-
-    p = command(csub, "check", _cmd_cc_check, "determinant check for one quiddity sequence")
-    p.add_argument("--quiddity", required=True, help="comma-separated positive integers")
-
-    p = command(csub, "random", _cmd_cc_random, "determinant checks for random triangulations")
-    p.add_argument("--k", type=int, required=True)
-    _add_options(p, "--count", "--seed")
-
-    bsub = sub.add_parser("bm", help="matrices of 2x2 column minors").add_subparsers(
-        dest="subcommand", required=True
-    )
-
-    p = command(bsub, "check", _cmd_bm_check, "determinant check for one 2 x n matrix")
-    p.add_argument("--matrix", required=True, help="two-row JSON file")
-
-    p = command(bsub, "random", _cmd_bm_random, "determinant checks for random 2 x n matrices")
-    p.add_argument("--n", type=int, required=True)
-    _add_options(p, "--count", "--seed")
-
+        for argument in arguments.split():
+            target = p.add_mutually_exclusive_group() if "|" in argument else p
+            for option in argument.split("|"):
+                option, _, default = option.partition("=")
+                spec = dict(_OPTIONS[option])
+                if default:
+                    spec.update(required=False, default=int(default))
+                target.add_argument(option, **spec)
     return parser
 
 

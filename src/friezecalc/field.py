@@ -71,10 +71,10 @@ class FieldDescriptor:
         return self.d is None
 
     def element(self, a, b=0) -> "FieldElement":
-        return FieldElement(Fraction(a), Fraction(b), self)
+        return FieldElement(a, b, self)
 
     def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(Fraction(n), _ZERO, self)
+        return FieldElement(n, _ZERO, self)
 
     @property
     def zero(self) -> "FieldElement":
@@ -89,6 +89,13 @@ class FieldDescriptor:
 
 
 RATIONAL = FieldDescriptor()
+
+
+def _rational(x) -> Fraction:
+    """An int coefficient as a Fraction; floats and all else are refused."""
+    if not isinstance(x, int):
+        raise TypeError(f"coefficient must be an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def _join(f1: FieldDescriptor, f2: FieldDescriptor) -> FieldDescriptor:
@@ -112,9 +119,9 @@ class FieldElement:
 
     def __post_init__(self):
         if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
+            object.__setattr__(self, "a", _rational(self.a))
         if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+            object.__setattr__(self, "b", _rational(self.b))
         if self.field.is_rational and self.b != 0:
             raise FieldMismatchError("rational element cannot carry a sqrt part")
 
@@ -211,7 +218,9 @@ class FieldElement:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # With b == 0 hash as the rational part, like the int or Fraction
+        # that the element compares equal to.
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -243,33 +252,17 @@ def format_element(x: FieldElement, compact: bool = False) -> str:
     return f"{x.a}{sep}{sign}{sep}{radical(abs(x.b))}"
 
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<sqrt>sqrt\(\s*(?P<arg>-?\d+)\s*\))
-      | (?P<num>\d+(?:/\d+)?)
-      | (?P<op>[+\-*])
-    )""",
+# One term of the grammar above, matched again and again from the start of
+# the string: a sign (required after the first term), a rational, a '*' only
+# between a rational and a sqrt, and a sqrt.  Each part may be absent, so the
+# pattern always matches; a term with neither a rational nor a sqrt is an error.
+_TERM = re.compile(
+    r"""\s*(?P<sign>[+-])?
+        \s*(?P<rat>\d+(?:/\d+)?)?
+        (?:\s*(?(rat)(?:\*\s*)?)sqrt\(\s*(?P<arg>-?\d+)\s*\))?
+        \s*""",
     re.VERBOSE,
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ElementSyntaxError(f"unexpected input at {text[pos:]!r}")
-        if m.group("sqrt") is not None:
-            tokens.append(("sqrt", int(m.group("arg"))))
-        elif m.group("num") is not None:
-            tokens.append(("num", Fraction(m.group("num"))))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
 
 
 def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
@@ -279,45 +272,22 @@ def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
     term names a radical other than the field's d, and ZeroDivisionError
     on a zero denominator.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ElementSyntaxError("empty element string")
-    a = _ZERO
-    b = _ZERO
+    a = b = _ZERO
     pos = 0
-    first = True
-    while pos < len(tokens):
-        sign = 1
-        kind, value = tokens[pos]
-        if kind == "op":
-            if value == "*":
-                raise ElementSyntaxError("term may not start with '*'")
-            if value == "-":
-                sign = -1
-            pos += 1
-        elif not first:
+    while True:
+        m = _TERM.match(text, pos)
+        sign, rat, arg = m.groups()
+        if rat is None and arg is None:
+            raise ElementSyntaxError(f"expected a term at {text[pos:]!r}")
+        if pos and sign is None:
             raise ElementSyntaxError("terms must be joined by '+' or '-'")
-        coeff: Fraction | None = None
-        arg: int | None = None
-        if pos < len(tokens) and tokens[pos][0] == "num":
-            coeff = tokens[pos][1]
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == ("op", "*"):
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "sqrt":
-                    raise ElementSyntaxError("'*' must be followed by sqrt(...)")
-        if pos < len(tokens) and tokens[pos][0] == "sqrt":
-            arg = tokens[pos][1]
-            pos += 1
-        if coeff is None and arg is None:
-            raise ElementSyntaxError("expected a term")
-        if arg is not None:
-            if field.is_rational or arg != field.d:
-                raise ElementSyntaxError(
-                    f"sqrt({arg}) does not belong to {field}"
-                )
-            b += sign * (coeff if coeff is not None else _ONE)
+        coeff = Fraction(f"{sign or ''}{rat or 1}")
+        if arg is None:
+            a += coeff
+        elif field.is_rational or int(arg) != field.d:
+            raise ElementSyntaxError(f"sqrt({int(arg)}) does not belong to {field}")
         else:
-            a += sign * coeff
-        first = False
-    return FieldElement(a, b, field)
+            b += coeff
+        pos = m.end()
+        if pos == len(text):
+            return FieldElement(a, b, field)

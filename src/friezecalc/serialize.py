@@ -64,10 +64,16 @@ def field_from_json(obj: Any) -> FieldDescriptor:
     if kind == "rational":
         return RATIONAL
     if kind == "quadratic":
-        if "d" not in obj or not isinstance(obj["d"], int):
-            raise ValueError('quadratic field needs an integer "d"')
-        return FieldDescriptor(obj["d"])
+        return FieldDescriptor(_integer(obj, "d", "quadratic field"))
     raise ValueError(f'unknown field kind {kind!r}')
+
+
+def _integer(obj: dict[str, Any], key: str, where: str) -> int:
+    """``obj[key]`` if it is a JSON integer; a bool or a float is bad input."""
+    value = obj.get(key)
+    if type(value) is not int:
+        raise ValueError(f'{where} needs an integer "{key}"')
+    return value
 
 
 def _element(s: Any, fd: FieldDescriptor) -> FieldElement:
@@ -101,9 +107,7 @@ def matrix_from_json(obj: Any) -> FriezeMatrix:
     entries = obj.get("entries")
     if not isinstance(entries, list) or not entries:
         raise ValueError('matrix needs a non-empty "entries" array')
-    n = obj.get("n", len(entries))
-    if type(n) is not int:
-        raise ValueError('"n" must be an integer')
+    n = _integer(obj, "n", "matrix") if "n" in obj else len(entries)
     if n != len(entries) or any(
         not isinstance(r, list) or len(r) != n for r in entries
     ):
@@ -123,13 +127,13 @@ def _seed_row_from_json(obj: Any, fd: FieldDescriptor, name: str) -> SeedRow:
         table = obj["table"]
         if (
             not isinstance(table, dict)
-            or not isinstance(table.get("start"), int)
             or not isinstance(table.get("values"), list)
             or not table["values"]
         ):
             raise ValueError(f'"{name}.table" needs "start" and "values"')
+        start = _integer(table, "start", f'"{name}.table"')
         return SeedRow.table(
-            table["start"], [_element(s, fd) for s in table["values"]]
+            start, [_element(s, fd) for s in table["values"]]
         )
     raise ValueError(f'seed row "{name}" must carry "cycle" or "table"')
 

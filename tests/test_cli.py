@@ -320,8 +320,10 @@ class TestBadInputExits2:
             (["bm", "check", "--matrix"], {"rows": [["1", "2"], ["3", "1/0"]]}),
             (["validate"], {"n": 2.0, "entries": [["0", "1"], ["1", "0"]]}),
             (["validate"], {"n": True, "entries": [["0", "1"], ["1", "0"]]}),
+            (["frieze", "gen", "--rows", "3", "--cols", "2", "--seeds"],
+             {"x": {"cycle": ["1"]}, "y": {"table": {"start": True, "values": ["3"]}}}),
         ],
-        ids=["matrix-1/0", "seeds-1/0", "two-row-1/0", "n-float", "n-bool"],
+        ids=["matrix-1/0", "seeds-1/0", "two-row-1/0", "n-float", "n-bool", "start-bool"],
     )
     def test_bad_document(self, capsys, tmp_path, argv, doc):
         path = tmp_path / "doc.json"
@@ -329,3 +331,19 @@ class TestBadInputExits2:
         assert run([*argv, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cc", "random", "--k", "6", "--count", "-1"],
+            ["bm", "random", "--n", "6", "--count", "0"],
+            ["frieze", "gen", "--seeds", CONST23, "--rows", "-3", "--cols", "2"],
+            ["frieze", "gen", "--seeds", CONST23, "--rows", "3", "--cols", "0"],
+            ["zerofrieze", "gen", "--seeds", ZERO_EXAMPLE, "--rows", "0", "--cols", "2"],
+            ["zerofrieze", "check", ZERO_EXAMPLE, "--cols", "-1"],
+        ],
+    )
+    def test_sizes_below_one(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be at least 1" in captured.err

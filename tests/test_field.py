@@ -76,11 +76,46 @@ class TestParse:
             parse_element("1/0", RATIONAL)
 
     @pytest.mark.parametrize(
-        "bad", ["", "1 +", "* 2", "2 ** sqrt(5)", "sqrt(5", "1 2", "x", "1/-2"]
+        "bad",
+        [
+            "", "1 +", "* 2", "2 ** sqrt(5)", "sqrt(5", "1 2", "x", "1/-2",
+            "2*", "*sqrt(5)", "sqrt(5)2", "2 3", "+-1", "sqrt (5)", "1 /2",
+            "sqrt(5)*2", "   ", "sqrt(5)sqrt(5)",
+        ],
     )
     def test_syntax_errors(self, bad):
         with pytest.raises(ElementSyntaxError):
             parse_element(bad, Q5)
+
+    @pytest.mark.parametrize(
+        "text, a, b",
+        [
+            ("+1", 1, 0),
+            ("1+2", 3, 0),
+            ("2 * sqrt(5)", 0, 2),
+            ("- sqrt(5)", 0, -1),
+            (" 1 - 1/2sqrt(5) ", 1, Fraction(-1, 2)),
+            ("1 + 1/2 - sqrt(5) + 3*sqrt(5)", Fraction(3, 2), 2),
+        ],
+    )
+    def test_accepted_forms(self, text, a, b):
+        assert parse_element(text, Q5) == Q5.element(a, b)
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("bad", [0.1, 2.0, "1/2"])
+    def test_only_int_and_fraction(self, bad):
+        with pytest.raises(TypeError):
+            RATIONAL.element(bad)
+        with pytest.raises(TypeError):
+            Q5.element(1, bad)
+        with pytest.raises(TypeError):
+            RATIONAL.from_int(bad)
+
+    def test_equal_values_hash_equal(self):
+        assert len({RATIONAL.from_int(2), 2}) == 1
+        assert hash(Q5.element(Fraction(1, 2), 0)) == hash(Fraction(1, 2))
+        assert hash(Q5.element(2, 0)) == hash(RATIONAL.from_int(2))
 
 
 class TestFormat:
