@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 from typing import Any
 
 from . import classical, generators, serialize, zerofrieze
@@ -314,18 +315,27 @@ def _cmd_bm_random(args) -> _Result:
 
 # ------------------------------------------------------------------- parser
 
-def _positive(text: str) -> int:
-    """argparse type of a size or count: an int of at least 1."""
+# Caps on the random checks.  One cc/bm case is a cubic Bareiss check in its
+# size k or n, about 2 s at 200, so a capped run ends in bounded time.
+MAX_CASE_SIZE = 200
+MAX_COUNT = 1000
+
+
+def _positive(text: str, most: int | None = None) -> int:
+    """argparse type of a size or count: an int of at least 1 and at most ``most``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
     return value
 
 
 # Every argument of every command, declared once: name -> add_argument keywords.
+# A name is the option string, or the option string and a variant after ":".
 _OPTIONS: dict[str, dict[str, Any]] = {
     "matrix": {"help": "matrix JSON file (use - for stdin)"},
     "seeds": {"help": "0-frieze seed JSON file"},
@@ -345,7 +355,11 @@ _OPTIONS: dict[str, dict[str, Any]] = {
     "--start": {"type": int, "default": 0, "help": "first column index"},
     "--grid": {"action": "store_true", "help": "print a text grid instead of JSON"},
     "--json": {"dest": "grid", "action": "store_false", "help": "print JSON (the default)"},
-    "--count": {"type": _positive, "required": True},
+    **dict.fromkeys(["--k:size", "--n:size"],
+                    {"type": partial(_positive, most=MAX_CASE_SIZE), "required": True,
+                     "help": f"size of each case, at most {MAX_CASE_SIZE}"}),
+    "--count": {"type": partial(_positive, most=MAX_COUNT), "required": True,
+                "help": f"number of cases, at most {MAX_COUNT}"},
     "--seed": {"type": int, "default": DEFAULT_SEED},
 }
 
@@ -378,11 +392,11 @@ _COMMANDS: dict[str, tuple[Any, str, str]] = {
     "cc": (None, "finite integer friezes from quiddity sequences", ""),
     "cc check": (_cmd_cc_check, "determinant check for one quiddity sequence", "--quiddity"),
     "cc random": (_cmd_cc_random, "determinant checks for random triangulations",
-                  "--k --count --seed"),
+                  "--k:size --count --seed"),
     "bm": (None, "matrices of 2x2 column minors", ""),
     "bm check": (_cmd_bm_check, "determinant check for one 2 x n matrix", "--matrix"),
     "bm random": (_cmd_bm_random, "determinant checks for random 2 x n matrices",
-                  "--n --count --seed"),
+                  "--n:size --count --seed"),
 }
 
 
@@ -406,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                 spec = dict(_OPTIONS[option])
                 if default:
                     spec.update(required=False, default=int(default))
-                target.add_argument(option, **spec)
+                target.add_argument(option.partition(":")[0], **spec)
     return parser
 
 

@@ -219,8 +219,9 @@ class FieldElement:
 
     def __hash__(self):
         # With b == 0 hash as the rational part, like the int or Fraction
-        # that the element compares equal to.
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        # that the element compares equal to.  Otherwise hash d too, since
+        # comparing elements of two quadratic fields raises.
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.field.d))
 
     def __bool__(self) -> bool:
         return not self.is_zero

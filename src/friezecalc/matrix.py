@@ -14,7 +14,9 @@ indices are 1-based, matching the conventional notation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import ZeroEntryError
@@ -456,36 +458,83 @@ def _as_grid(m) -> list[list[FieldElement]]:
     return [list(r) for r in m]
 
 
+_INEXACT = "Bareiss division left a remainder; the elimination kernel is wrong"
+
+
 def det_elimination(m) -> FieldElement:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant by integer-preserving (Bareiss) elimination.
 
     Works on any square matrix of field elements: frieze matrices, their
-    triangular companions, or a plain grid.  Row swaps are tracked and a
-    fully zero pivot column short-circuits to zero.
+    triangular companions, or a plain grid.  Each row is scaled by the lcm
+    D_i of its coefficient denominators, so that DM has entries in Z (held
+    as ints) or in Z[sqrt(d)] (held as pairs (p, q) = p + q*sqrt(d)) and
+    det(M) = det(DM) / prod(D_i).  Bareiss elimination on DM divides
+    exactly by the previous pivot; over Z[sqrt(d)] it multiplies by the
+    pivot's conjugate and divides by its integer norm.  Every such division
+    checks its remainder.  Row swaps are tracked and a fully zero pivot
+    column short-circuits to zero.
     """
     a = _as_grid(m)
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
     fd = _common_field(e for r in a for e in r)
-    if n == 1:
-        return a[0][0]
+    d = fd.d
+    scale = 1
+    g = []
+    for row in a:
+        den = math.lcm(*(c.denominator for e in row for c in (e.a, e.b)))
+        scale *= den
+        g.append([
+            e.a.numerator * (den // e.a.denominator) if d is None
+            else (e.a.numerator * (den // e.a.denominator),
+                  e.b.numerator * (den // e.b.denominator))
+            for e in row
+        ])
+    zero, prev = (0, 1) if d is None else ((0, 0), (1, 0))
     sign = 1
-    prev = fd.one
     for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not a[r][k].is_zero), None)
+        pivot_row = next((r for r in range(k, n) if g[r][k] != zero), None)
         if pivot_row is None:
             return fd.zero
         if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+            g[k], g[pivot_row] = g[pivot_row], g[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = fd.zero
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+        top = g[k]
+        p = top[k]
+        if d is None:
+            # g[i][j] <- (g[i][j]*p - g[i][k]*g[k][j]) / prev, exactly.
+            for row in g[k + 1:]:
+                c = row[k]
+                for j in range(k + 1, n):
+                    q, r = divmod(row[j] * p - c * top[j], prev)
+                    if r:
+                        raise ArithmeticError(_INEXACT)
+                    row[j] = q
+        else:
+            # The same update in Z[sqrt(d)]; dividing by prev = v0 + v1*sqrt(d)
+            # is multiplying by v0 - v1*sqrt(d) and dividing by v0^2 - d*v1^2.
+            p0, p1 = p
+            v0, v1 = prev
+            norm = v0 * v0 - d * v1 * v1
+            dp1, dv1 = d * p1, d * v1
+            for row in g[k + 1:]:
+                c0, c1 = row[k]
+                dc1 = d * c1
+                for j in range(k + 1, n):
+                    x0, x1 = row[j]
+                    y0, y1 = top[j]
+                    t0 = x0 * p0 + x1 * dp1 - c0 * y0 - dc1 * y1
+                    t1 = x0 * p1 + x1 * p0 - c0 * y1 - c1 * y0
+                    q0, r0 = divmod(t0 * v0 - t1 * dv1, norm)
+                    q1, r1 = divmod(t1 * v0 - t0 * v1, norm)
+                    if r0 or r1:
+                        raise ArithmeticError(_INEXACT)
+                    row[j] = (q0, q1)
+        prev = p
+    det = g[n - 1][n - 1]
+    det0, det1 = (det, 0) if d is None else det
+    return fd.element(Fraction(sign * det0, scale), Fraction(sign * det1, scale))
 
 
 def det_cofactor(m) -> FieldElement:

@@ -27,6 +27,7 @@ from friezecalc import (
     check_ptolemy,
     check_t_properties,
     check_zero_diamond,
+    delta_minor_matrix,
     det_closed_form,
     det_elimination,
     extract_m_minus,
@@ -40,13 +41,14 @@ from friezecalc import (
     window_cells,
 )
 from friezecalc.generators import (
+    random_frieze_matrix,
     random_rational,
     random_triangulation,
     random_two_row_matrix,
 )
 from friezecalc.serialize import matrix_from_json, zero_seeds_from_json
 
-from conftest import load_fixture, rat
+from conftest import Q5, load_fixture, rat
 from test_matrix import assert_trace_valid
 
 
@@ -220,3 +222,34 @@ def test_criterion_10_rank1_factorization():
                 with pytest.raises(FactorizationImpossibleError):
                     rank1_factorize(broken)
             windows += 1
+
+
+def _sympy_value(sympy, e):
+    """a + b*sqrt(d) as a sympy number, with sqrt(d) as sympy.sqrt(d)."""
+    value = sympy.Rational(e.a.numerator, e.a.denominator)
+    if e.b:
+        value += sympy.Rational(e.b.numerator, e.b.denominator) * sympy.sqrt(e.field.d)
+    return value
+
+
+def _sympy_det(sympy, m):
+    det = sympy.Matrix([[_sympy_value(sympy, e) for e in row] for row in m.rows()]).det()
+    # Rationalize and expand to the canonical a + b*sqrt(d).
+    return sympy.expand(sympy.radsimp(det))
+
+
+def test_criterion_11_outside_oracle():
+    sympy = pytest.importorskip("sympy")
+    with criterion(11, "elimination, closed form and sympy agree (CC, minor and Q(sqrt5) matrices)"):
+        rng = random.Random(11)
+        matrices = [
+            cc_matrix(quiddity_from_triangulation(random_triangulation(rng, k)))
+            for k in (4, 9, 16, 25, 40)
+        ]
+        matrices += [delta_minor_matrix(random_two_row_matrix(rng, n)) for n in (3, 6, 9, 12)]
+        quadratic = [random_frieze_matrix(rng, n, Q5) for n in (3, 4, 5, 5, 6, 6)]
+        assert any(e.b and e.a.denominator > 1 for m in quadratic for r in m.rows() for e in r)
+        for m in matrices + quadratic:
+            det = det_elimination(m)
+            assert det == det_closed_form(m)
+            assert _sympy_value(sympy, det) == _sympy_det(sympy, m)

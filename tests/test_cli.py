@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -347,3 +348,20 @@ class TestBadInputExits2:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be at least 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cc", "random", "--k", "3000", "--count", "1"],
+            ["cc", "random", "--k", "201", "--count", "1"],
+            ["bm", "random", "--n", "201", "--count", "1"],
+            ["cc", "random", "--k", "6", "--count", "1001"],
+        ],
+    )
+    def test_sizes_above_cap(self, capsys, argv):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: argument" in captured.err
+        assert "must be at most" in captured.err

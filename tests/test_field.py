@@ -117,6 +117,10 @@ class TestCoefficients:
         assert hash(Q5.element(Fraction(1, 2), 0)) == hash(Fraction(1, 2))
         assert hash(Q5.element(2, 0)) == hash(RATIONAL.from_int(2))
 
+    def test_elements_of_two_fields_share_a_set(self):
+        s = {Q5.element(1, 1), FieldDescriptor(2).element(1, 1)}
+        assert len(s) == 2
+
 
 class TestFormat:
     def test_rational(self):

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friezecalc import (
     RATIONAL,
+    FieldDescriptor,
     FriezeMatrix,
     SeedData,
     TriangularMatrix,
@@ -252,6 +255,38 @@ class TestDeterminants:
         m = build_from_seeds(SeedData((rat(3),), ()))
         assert det_closed_form(m) == rat(-9)
         assert det_elimination(m) == rat(-9)
+
+
+# Coefficients with mixed denominators, in every field the kernel branches
+# on: Q, and Q(sqrt(d)) for positive and negative d.
+_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_fields = st.sampled_from([RATIONAL, FieldDescriptor(5), FieldDescriptor(2), FieldDescriptor(-3)])
+
+
+@st.composite
+def square_grids(draw):
+    """An n x n grid, n in [1, 6], with zero entries and, sometimes, a
+    repeated row or a zero column."""
+    fd = draw(_fields)
+    n = draw(st.integers(1, 6))
+    b = st.just(0) if fd.is_rational else _coeffs
+    entry = st.one_of(st.just(fd.zero), st.builds(fd.element, _coeffs, b))
+    grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "repeated row", "zero column"]))
+    if shape == "repeated row" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        grid[j] = list(grid[i])
+    elif shape == "zero column":
+        c = draw(st.integers(0, n - 1))
+        for row in grid:
+            row[c] = fd.zero
+    return grid
+
+
+@given(square_grids())
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_cofactor(grid):
+    assert det_elimination(grid) == det_cofactor(grid)
 
 
 class TestReconstruct:
