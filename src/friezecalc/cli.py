@@ -316,8 +316,11 @@ def _cmd_bm_random(args) -> _Result:
 # ------------------------------------------------------------------- parser
 
 # Caps on the random checks.  One cc/bm case is a cubic Bareiss check in its
-# size k or n, about 2 s at 200, so a capped run ends in bounded time.
+# size k or n, about 2 s at 200, so a capped run ends in bounded time.  A
+# random 2 x n matrix with entries in [-9, 9] almost surely has two
+# proportional columns once n is near 30, so `bm random` stops at 20.
 MAX_CASE_SIZE = 200
+MAX_TWO_ROW_SIZE = 20
 MAX_COUNT = 1000
 
 
@@ -355,9 +358,10 @@ _OPTIONS: dict[str, dict[str, Any]] = {
     "--start": {"type": int, "default": 0, "help": "first column index"},
     "--grid": {"action": "store_true", "help": "print a text grid instead of JSON"},
     "--json": {"dest": "grid", "action": "store_false", "help": "print JSON (the default)"},
-    **dict.fromkeys(["--k:size", "--n:size"],
-                    {"type": partial(_positive, most=MAX_CASE_SIZE), "required": True,
-                     "help": f"size of each case, at most {MAX_CASE_SIZE}"}),
+    "--k:cc": {"type": partial(_positive, most=MAX_CASE_SIZE), "required": True,
+               "help": f"size of each case, at most {MAX_CASE_SIZE}"},
+    "--n:bm": {"type": partial(_positive, most=MAX_TWO_ROW_SIZE), "required": True,
+               "help": f"size of each case, at most {MAX_TWO_ROW_SIZE}"},
     "--count": {"type": partial(_positive, most=MAX_COUNT), "required": True,
                 "help": f"number of cases, at most {MAX_COUNT}"},
     "--seed": {"type": int, "default": DEFAULT_SEED},
@@ -392,11 +396,11 @@ _COMMANDS: dict[str, tuple[Any, str, str]] = {
     "cc": (None, "finite integer friezes from quiddity sequences", ""),
     "cc check": (_cmd_cc_check, "determinant check for one quiddity sequence", "--quiddity"),
     "cc random": (_cmd_cc_random, "determinant checks for random triangulations",
-                  "--k:size --count --seed"),
+                  "--k:cc --count --seed"),
     "bm": (None, "matrices of 2x2 column minors", ""),
     "bm check": (_cmd_bm_check, "determinant check for one 2 x n matrix", "--matrix"),
     "bm random": (_cmd_bm_random, "determinant checks for random 2 x n matrices",
-                  "--n:size --count --seed"),
+                  "--n:bm --count --seed"),
 }
 
 

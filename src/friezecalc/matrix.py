@@ -84,6 +84,22 @@ def _common_field(entries) -> FieldDescriptor:
     return fd
 
 
+def _denominator(entries) -> int:
+    """The lcm of the denominators of every coefficient of ``entries``."""
+    return math.lcm(*(c.denominator for e in entries for c in (e.a, e.b)))
+
+
+def _lattice(entries, den: int, d: int | None) -> list:
+    """``den`` times each entry, where ``den`` clears every denominator:
+    ints over Q (d is None), pairs (p, q) = p + q*sqrt(d) over Q(sqrt(d))."""
+    if d is None:
+        return [e.a.numerator * (den // e.a.denominator) for e in entries]
+    return [
+        (e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
+        for e in entries
+    ]
+
+
 class FriezeMatrix:
     """Square matrix of exact field elements with 1-based access.
 
@@ -298,6 +314,12 @@ def check_ptolemy(
     With ``quad`` given, checks that single quadruple (which must satisfy
     1 <= i <= j <= k <= l <= n, else IndexError); otherwise checks every
     quadruple, equalities included (those hold trivially).
+
+    Both sides have degree 2 in the entries, so scaling every entry by the
+    lcm D of all coefficient denominators scales both by D^2: the relation
+    holds on M exactly when it holds on DM.  The scan runs on DM, held as
+    ints (over Q) or as pairs (p, q) = p + q*sqrt(d) (over Q(sqrt(d))); a
+    failing quadruple is recomputed on the field elements for its report.
     """
     n = m.n
     if quad is not None:
@@ -306,14 +328,31 @@ def check_ptolemy(
             raise IndexError(
                 f"quadruple {quad} must satisfy 1 <= i <= j <= k <= l <= {n}"
             )
-        quads = [quad]
+        quads = [(i - 1, j - 1, k - 1, l - 1)]
     else:
-        quads = itertools.combinations_with_replacement(range(1, n + 1), 4)
+        quads = itertools.combinations_with_replacement(range(n), 4)
+    rows = m.rows()
+    d = m.field.d
+    den = _denominator(e for r in rows for e in r)
+    g = [_lattice(r, den, d) for r in rows]
     out = []
     for i, j, k, l in quads:
-        lhs = m.entry(i, k) * m.entry(j, l)
-        rhs = m.entry(i, j) * m.entry(k, l) + m.entry(i, l) * m.entry(j, k)
-        if lhs != rhs:
+        gi, gj = g[i], g[j]
+        if d is None:
+            holds = gi[k] * gj[l] == gi[j] * g[k][l] + gi[l] * gj[k]
+        else:
+            # Both sides expanded in Z[sqrt(d)]: the sqrt(d) parts, then the rest.
+            (a0, a1), (b0, b1) = gi[k], gj[l]
+            (c0, c1), (e0, e1) = gi[j], g[k][l]
+            (f0, f1), (h0, h1) = gi[l], gj[k]
+            holds = (
+                a0 * b1 + a1 * b0 == c0 * e1 + c1 * e0 + f0 * h1 + f1 * h0
+                and a0 * b0 - c0 * e0 - f0 * h0 == d * (c1 * e1 + f1 * h1 - a1 * b1)
+            )
+        if not holds:
+            i, j, k, l = i + 1, j + 1, k + 1, l + 1
+            lhs = m.entry(i, k) * m.entry(j, l)
+            rhs = m.entry(i, j) * m.entry(k, l) + m.entry(i, l) * m.entry(j, k)
             out.append(Violation(RULE_PTOLEMY, (i, j, k, l), lhs, rhs))
     return ValidationReport(tuple(out))
 
@@ -483,14 +522,9 @@ def det_elimination(m) -> FieldElement:
     scale = 1
     g = []
     for row in a:
-        den = math.lcm(*(c.denominator for e in row for c in (e.a, e.b)))
+        den = _denominator(row)
         scale *= den
-        g.append([
-            e.a.numerator * (den // e.a.denominator) if d is None
-            else (e.a.numerator * (den // e.a.denominator),
-                  e.b.numerator * (den // e.b.denominator))
-            for e in row
-        ])
+        g.append(_lattice(row, den, d))
     zero, prev = (0, 1) if d is None else ((0, 0), (1, 0))
     sign = 1
     for k in range(n - 1):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
 
-from friezecalc.cli import run
+from friezecalc.cli import DEFAULT_SEED, run
+from friezecalc.generators import random_two_row_matrix
 
 from conftest import FIXTURES
 
@@ -295,6 +297,10 @@ class TestCcAndBm:
         assert code == 0 and out["ok"] and out["seed"] == 3
         assert len(out["cases"]) == 4
 
+    def test_bm_random_at_size_cap(self, capsys):
+        code, out = run_json(capsys, ["bm", "random", "--n", "20", "--count", "3"])
+        assert code == 0 and out["ok"] and len(out["cases"]) == 3
+
     def test_bm_zero_minor_is_check_failure(self, capsys, tmp_path):
         doc = tmp_path / "prop.json"
         doc.write_text(
@@ -307,10 +313,14 @@ class TestCcAndBm:
 
 class TestBadInputExits2:
     def test_bm_random_without_a_valid_draw(self, capsys):
+        # At n = 30 the default seed's 500 draws all have a zero minor, so
+        # the size cap refuses n = 30 before the generator runs.
         assert run(["bm", "random", "--n", "30", "--count", "1"]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
-        assert "no nonzero-minor 2x30 matrix" in captured.err
+        assert "must be at most 20, got 30" in captured.err
+        with pytest.raises(ValueError, match="no nonzero-minor 2x30 matrix"):
+            random_two_row_matrix(random.Random(DEFAULT_SEED), 30)
 
     @pytest.mark.parametrize(
         "argv, doc",
@@ -356,6 +366,7 @@ class TestBadInputExits2:
             ["cc", "random", "--k", "201", "--count", "1"],
             ["bm", "random", "--n", "201", "--count", "1"],
             ["cc", "random", "--k", "6", "--count", "1001"],
+            ["bm", "random", "--n", "21", "--count", "1"],
         ],
     )
     def test_sizes_above_cap(self, capsys, argv):

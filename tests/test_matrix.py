@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from friezecalc import (
@@ -126,6 +127,66 @@ class TestPtolemy:
     def test_violation_reported_on_corrupted_matrix(self, exm_printed):
         report = check_ptolemy(exm_printed)
         assert not report.ok
+
+
+def reference_ptolemy(m, quad=None):
+    """The scan on field elements that the integer-lattice scan replaced."""
+    quads = [quad] if quad else itertools.combinations_with_replacement(range(1, m.n + 1), 4)
+    out = []
+    for i, j, k, l in quads:
+        lhs = m.entry(i, k) * m.entry(j, l)
+        rhs = m.entry(i, j) * m.entry(k, l) + m.entry(i, l) * m.entry(j, k)
+        if lhs != rhs:
+            out.append(("ptolemy", (i, j, k, l), lhs, rhs, lhs.field, rhs.field))
+    return out
+
+
+def ptolemy_violations(report):
+    return [
+        (v.rule, v.indices, v.lhs, v.rhs, v.lhs.field, v.rhs.field) for v in report.violations
+    ]
+
+
+_ptolemy_fields = st.sampled_from([RATIONAL, FieldDescriptor(5), FieldDescriptor(-3)])
+_ptolemy_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def ptolemy_matrices(draw):
+    """A frieze matrix of size 2-7 with mixed denominators, left alone or
+    with one symmetric pair changed, one entry changed (breaking symmetry;
+    the new value may be a plain rational) or one diagonal entry nonzero."""
+    fd = draw(_ptolemy_fields)
+    n = draw(st.integers(2, 7))
+    b = st.just(0) if fd.is_rational else _ptolemy_coeffs
+    nonzero = st.builds(fd.element, _ptolemy_coeffs, b).filter(bool)
+    x = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
+    y = draw(st.lists(nonzero, min_size=n - 2, max_size=n - 2))
+    try:
+        rows = [list(r) for r in build_from_seeds(SeedData(x, y), fd).rows()]
+    except ZeroEntryError:
+        assume(False)
+    change = draw(st.sampled_from(["none", "symmetric pair", "one entry", "diagonal"]))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    if change == "symmetric pair":
+        rows[i][j] = rows[j][i] = rows[i][j] + draw(nonzero)
+    elif change == "one entry":
+        rows[j][i] = RATIONAL.element(draw(_ptolemy_coeffs))
+    elif change == "diagonal":
+        rows[i][i] = draw(nonzero)
+    return FriezeMatrix(rows)
+
+
+@given(ptolemy_matrices(), st.lists(st.integers(0, 8), min_size=4, max_size=4), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_ptolemy_scan_matches_reference(m, quad, ordered):
+    assert ptolemy_violations(check_ptolemy(m)) == reference_ptolemy(m)
+    quad = tuple(sorted(quad) if ordered else quad)
+    if 1 <= quad[0] <= quad[1] <= quad[2] <= quad[3] <= m.n:
+        assert ptolemy_violations(check_ptolemy(m, quad)) == reference_ptolemy(m, quad)
+    else:
+        with pytest.raises(IndexError):
+            check_ptolemy(m, quad)
 
 
 def expected_stage_entry(m, k, i, j):
