@@ -50,10 +50,19 @@ _Result = tuple[Any, bool, "str | None"]
 
 
 def _read_json(path: str) -> Any:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _at_most(what: str, value: int, most: int) -> None:
+    """Refuse a size the caps below do not admit (ValueError, exit 2)."""
+    if value > most:
+        raise ValueError(f"{what} must be at most {most}, got {value}")
 
 
 def _load_matrix(path: str):
@@ -176,6 +185,7 @@ def _cmd_frieze_gen(args) -> _Result:
 
 
 def _cmd_frieze_cone(args) -> _Result:
+    _at_most("cone extent j - i", args.j - args.i, MAX_EXTENT)
     f = _load_frieze(args.seeds)
     entries = cone_entries(f, ConeSpec(args.i, args.j))
     out = {
@@ -210,6 +220,8 @@ def _cmd_zero_gen(args) -> _Result:
 
 
 def _cmd_zero_from_frieze(args) -> _Result:
+    reach = max(abs(args.start), abs(args.start + args.cols)) + args.rows
+    _at_most("window reach max(|start|, |start + cols|) + rows", reach, MAX_EXTENT)
     zf = zerofrieze.from_frieze(_load_frieze(args.seeds), args.k)
     return _window(zf.entry, args, {"k": args.k}, shift=-1)
 
@@ -295,7 +307,9 @@ def _random_checks(args, name: str, size: str, case) -> _Result:
 
 
 def _cmd_cc_check(args) -> _Result:
-    q = classical.QuiddityData(tuple(int(v) for v in args.quiddity.split(",")))
+    values = args.quiddity.split(",")
+    _at_most("quiddity length", len(values), MAX_CASE_SIZE)
+    q = classical.QuiddityData(tuple(int(v) for v in values))
     out, ok = _quiddity_report(q)
     return out, ok, f"cc check {args.quiddity}: {'ok' if ok else 'FAILED'}"
 
@@ -315,16 +329,23 @@ def _cmd_bm_random(args) -> _Result:
 
 # ------------------------------------------------------------------- parser
 
-# Caps on the random checks.  One cc/bm case is a cubic Bareiss check in its
-# size k or n, about 2 s at 200, so a capped run ends in bounded time.  A
-# random 2 x n matrix with entries in [-9, 9] almost surely has two
-# proportional columns once n is near 30, so `bm random` stops at 20.
+# Caps on every size, so that a run at the cap ends in a few seconds.  One
+# cc/bm case is a cubic Bareiss check in its size k or n.  A random 2 x n
+# matrix with entries in [-9, 9] almost surely has two proportional columns
+# once n is near 30, so `bm random` stops at 20.  Frieze entries grow with
+# their depth j - i, so the rows and columns of a window and the extent of
+# the frieze cone a command reads are capped.  `frieze period` compares
+# entries i and i+P apart; for P beyond the depth every comparison
+# recomputes its cone, so its --max and --depth have a lower cap.
 MAX_CASE_SIZE = 200
 MAX_TWO_ROW_SIZE = 20
 MAX_COUNT = 1000
+MAX_WINDOW = 100
+MAX_EXTENT = 200
+MAX_PERIOD = 20
 
 
-def _positive(text: str, most: int | None = None) -> int:
+def _positive(text: str, most: int) -> int:
     """argparse type of a size or count: an int of at least 1 and at most ``most``."""
     try:
         value = int(text)
@@ -332,7 +353,7 @@ def _positive(text: str, most: int | None = None) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    if most is not None and value > most:
+    if value > most:
         raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
     return value
 
@@ -350,11 +371,16 @@ _OPTIONS: dict[str, dict[str, Any]] = {
     "--trace": {"action": "store_true", "help": "record every elimination stage"},
     "--check-props": {"action": "store_true", "dest": "check_props",
                       "help": "verify the structural identities of the result"},
-    **dict.fromkeys(["--i", "--j", "--k", "--n", "--max", "--depth"],
-                    {"type": int, "required": True}),
+    **dict.fromkeys(["--i", "--j", "--k"], {"type": int, "required": True}),
+    "--n": {"type": partial(_positive, most=MAX_EXTENT), "required": True,
+            "help": f"matrix size, at most {MAX_EXTENT}"},
+    **dict.fromkeys(["--rows", "--cols"],
+                    {"type": partial(_positive, most=MAX_WINDOW), "required": True,
+                     "help": f"at most {MAX_WINDOW}"}),
+    **dict.fromkeys(["--max", "--depth"],
+                    {"type": partial(_positive, most=MAX_PERIOD), "required": True,
+                     "help": f"at most {MAX_PERIOD}"}),
     "--sign": {"choices": ["plus", "minus"], "required": True},
-    "--rows": {"type": _positive, "required": True},
-    "--cols": {"type": _positive, "required": True},
     "--start": {"type": int, "default": 0, "help": "first column index"},
     "--grid": {"action": "store_true", "help": "print a text grid instead of JSON"},
     "--json": {"dest": "grid", "action": "store_false", "help": "print JSON (the default)"},

@@ -6,10 +6,10 @@ all other entries nonzero, and every diamond satisfying
     f[i,j]*f[i+1,j+1] - f[i+1,j]*f[i,j+1] = f[i,i+1]*f[j,j+1].
 
 It is determined by its first two nontrivial rows x_i = f[i,i+1] and
-y_i = f[i,i+2].  Entries below them come on demand from the diamond engine
-shared with frieze matrices and 0-friezes (``matrix._DiamondRows``), which
-keeps each computed row as one run of columns; a zero entry below the
-second row is an error, raised eagerly.
+y_i = f[i,i+2].  Entries below them come on demand from the engine shared
+with frieze matrices (``matrix._FriezeRows``), which fills each row by the
+linear recurrence the diamond rule implies and keeps it as one run of
+columns; a zero entry below the second row is an error, raised eagerly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import WindowExceededError
 from .field import FieldDescriptor, FieldElement
-from .matrix import FriezeMatrix, _DiamondRows
+from .matrix import FriezeMatrix, _FriezeRows
 
 __all__ = [
     "ConeSpec",
@@ -92,7 +92,7 @@ class InfiniteFrieze:
     Evaluation order never changes values: rows below y are filled by the
     fixed recurrence
 
-        f[i,j] = (f[i,j-1]*f[i+1,j] - x_i*x_{j-1}) / f[i+1,j-1]
+        f[i,j] = (f[i,j-1]*y_{j-2} - f[i,j-2]*x_{j-1}) / x_{j-2}
 
     and stored rows are only ever extended or recomputed, so behaviour is
     that of a pure function; instances carry no locks, give each thread its
@@ -101,14 +101,8 @@ class InfiniteFrieze:
 
     def __init__(self, seeds: FriezeSeeds):
         self.seeds = seeds
-        x = seeds.x.value
-        self._rows = _DiamondRows(
-            x,
-            seeds.y.value,
-            1,
-            "frieze entry ({i},{j}) is zero; the seeds generate no frieze",
-            lambda i, j: x(i) * x(j - 1),
-        )
+        message = "frieze entry ({i},{j}) is zero; the seeds generate no frieze"
+        self._rows = _FriezeRows(seeds.x.value, seeds.y.value, message)
 
     @property
     def field(self) -> FieldDescriptor:

@@ -159,43 +159,48 @@ class SeedData:
         return len(self.x) + 1
 
 
-class _DiamondRows:
-    """Entries e(i, j) of a frieze-like array, filled by the diamond rule
+class _FriezeRows:
+    """Entries e(i, j), j - i >= 1, of a frieze with seed rows
+    x(i) = e(i, i+1) and y(i) = e(i, i+2), filled by the linear row rule
 
-        e(i,j) = (e(i,j-1)*e(i+1,j) - c(i,j)) / e(i+1,j-1)
+        e(i,j) = (e(i,j-1)*y(j-2) - e(i,j-2)*x(j-1)) / x(j-2).      (L)
 
-    from two seed rows e(i, i+base) = row0(i) and e(i, i+base+1) = row1(i).
-    Without a coefficient c (0-friezes) the subtraction is dropped.  This is
-    the one implementation of the recurrence: frieze matrices, infinite
-    friezes and 0-friezes differ only in their seeds, base and coefficient.
+    Proof from the diamond rule e(i,j)*e(i+1,j-1) = e(i,j-1)*e(i+1,j) -
+    x(i)*x(j-1) (D) with e(i,i) = 0, by induction on j - i.  L holds at
+    j - i = 2: y(i)*x(i) = x(i)*y(i) - 0.  For j - i >= 3, multiply D by
+    x(j-2), use L at (i+1, j), then D at (i, j-1):
+
+        e(i,j)*e(i+1,j-1)*x(j-2)
+          = e(i,j-1)*(e(i+1,j-1)*y(j-2) - e(i+1,j-2)*x(j-1)) - x(i)*x(j-1)*x(j-2)
+          = e(i,j-1)*e(i+1,j-1)*y(j-2) - x(j-1)*e(i,j-2)*e(i+1,j-1),
+
+    and divide by the nonzero e(i+1,j-1) to get L at (i, j).  A cell thus
+    reads only its own row and divides only by a seed.
 
     Each computed row d = j - i is stored as one run of consecutive columns
-    i.  A request evaluates the missing part of its cone by increasing d and
-    then i, and reads seeds and coefficients in the same fixed order, so
-    values and raised errors never depend on earlier requests.  A request
-    whose columns are disjoint from a stored run replaces that run.  Every
-    divisor is a seed or an entry already checked nonzero; a computed zero
+    i; a request whose columns are disjoint from a stored run replaces it.  A
+    request evaluates the missing part of its cone by increasing d, then i.
+    Row d = 3 reads y(i), y(i+1), x(i), x(i+2), x(i+1) per cell, as the
+    diamond rule did, and with them every seed deeper rows read, so values
+    and raised errors never depend on earlier requests.  A computed zero
     raises :class:`ZeroEntryError` with ``zero_message.format(i=i, j=j)``.
     """
 
-    __slots__ = ("_row0", "_row1", "_base", "_coeff", "_zero_message", "_starts", "_runs")
+    __slots__ = ("_x", "_y", "_zero_message", "_starts", "_runs")
 
-    def __init__(self, row0, row1, base: int, zero_message: str, coeff=None):
-        self._row0 = row0
-        self._row1 = row1
-        self._base = base
-        self._coeff = coeff
+    def __init__(self, x, y, zero_message: str):
+        self._x = x
+        self._y = y
         self._zero_message = zero_message
-        # Row d = base + 2 + r holds e(i, i+d) for i in
-        # [_starts[r], _starts[r] + len(_runs[r])).
+        # Row d = 3 + r holds e(i, i+d) for i in [_starts[r], _starts[r] + len(_runs[r])).
         self._starts: list[int] = []
         self._runs: list[list[FieldElement]] = []
 
     def get(self, i: int, j: int) -> FieldElement:
-        """e(i, j) for j - i >= base."""
-        r = j - i - self._base - 2
+        """e(i, j) for j - i >= 1."""
+        r = j - i - 3
         if r < 0:
-            return self._row0(i) if r == -2 else self._row1(i)
+            return self._x(i) if r == -2 else self._y(i)
         if r < len(self._runs):
             off = i - self._starts[r]
             run = self._runs[r]
@@ -223,23 +228,18 @@ class _DiamondRows:
 
     def _row(self, r: int):
         if r < 0:
-            return self._row0 if r == -2 else self._row1
+            return self._x if r == -2 else self._y
         start, run = self._starts[r], self._runs[r]
         return lambda i: run[i - start]
 
     def _cells(self, r: int, lo: int, hi: int) -> list[FieldElement]:
-        d = self._base + 2 + r
-        up, up2, coeff = self._row(r - 1), self._row(r - 2), self._coeff
+        up, up2, x, y = self._row(r - 1), self._row(r - 2), self._x, self._y
         out = []
         for i in range(lo, hi):
-            num = up(i) * up(i + 1)
-            if coeff is not None:
-                num = num - coeff(i, i + d)
-            val = num / up2(i + 1)
+            j = i + r + 3
+            val = (up(i) * y(j - 2) - up2(i) * x(j - 1)) / x(j - 2)
             if val.is_zero:
-                raise ZeroEntryError(
-                    (i, i + d), self._zero_message.format(i=i, j=i + d)
-                )
+                raise ZeroEntryError((i, j), self._zero_message.format(i=i, j=j))
             out.append(val)
         return out
 
@@ -247,23 +247,19 @@ class _DiamondRows:
 def build_from_seeds(
     seeds: SeedData, field: FieldDescriptor | None = None
 ) -> FriezeMatrix:
-    """Fill the matrix from x, y by repeated use of the diamond rule.
+    """Fill the matrix from x, y by the row rule of the diamond rule.
 
-    Anti-diagonals are filled by increasing distance d = j - i, each new
-    entry via  m[i,j] = (m[i,j-1]*m[i+1,j] - x_i*x_{j-1}) / m[i+1,j-1].
-    Raises :class:`ZeroEntryError` (with the offending 1-based index) when
-    a computed off-diagonal entry vanishes, i.e. the seeds generate no
-    frieze matrix.
+    Anti-diagonals are filled by increasing distance d = j - i, each entry
+    m[i,j] = (m[i,j-1]*y_{j-2} - m[i,j-2]*x_{j-1}) / x_{j-2}.  Raises
+    :class:`ZeroEntryError` (with the offending 1-based index) when a
+    computed off-diagonal entry vanishes, i.e. the seeds generate no frieze
+    matrix.
     """
     fd = field if field is not None else _common_field(seeds.x + seeds.y)
     n = seeds.n
     x, y = seeds.x, seeds.y
-    rows = _DiamondRows(
-        lambda i: x[i - 1],
-        lambda i: y[i - 1],
-        1,
-        "seeds generate a zero entry at ({i},{j})",
-        lambda i, j: x[i - 1] * x[j - 2],
+    rows = _FriezeRows(
+        lambda i: x[i - 1], lambda i: y[i - 1], "seeds generate a zero entry at ({i},{j})"
     )
     # Fill the cone of m[1,n] first, so a zero is reported in anti-diagonal order.
     rows.get(1, n)

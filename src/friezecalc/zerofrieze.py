@@ -4,11 +4,11 @@ A 0-frieze is a Z^2-indexed array t[i,j] (j >= i-1) of nonzero values with
 
     t[i,j]*t[i+1,j+1] - t[i+1,j]*t[i,j+1] = 0   for all j >= i,
 
-determined by its first two rows u_i = t[i,i-1] and v_i = t[i,i].  Deeper
-rows come from the diamond engine shared with friezes and frieze matrices
-(``matrix._DiamondRows``) with the coefficient term set to zero.  The
-vanishing minors make every such array rank one: t[i,j] = a_i * b_j on any
-connected window, which :func:`rank1_factorize` recovers.
+determined by its first two rows u_i = t[i,i-1] and v_i = t[i,i].  The
+zero diamond rule makes t[i,j]/t[i,j-1] independent of i, so each row is a
+running product of seed ratios, t[i,j] = v_i * prod_{k=i+1..j} v_k/u_k.
+That product is the rank-one structure: t[i,j] = a_i * b_j on any connected
+window, which :func:`rank1_factorize` recovers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 from .errors import FactorizationImpossibleError, ZeroEntryError
 from .field import FieldDescriptor, FieldElement
 from .frieze import InfiniteFrieze, SeedRow
-from .matrix import RULE_ZERO_DIAMOND, ValidationReport, Violation, _DiamondRows
+from .matrix import RULE_ZERO_DIAMOND, ValidationReport, Violation
 
 __all__ = [
     "ZeroFrieze",
@@ -48,33 +48,34 @@ class ZeroFrieze:
     """Evaluator for t[i,j] from the rows u and v.
 
     Rows may be :class:`SeedRow` values or arbitrary callables on Z (the
-    latter is how 0-friezes derived from a frieze are backed).  Deeper rows
-    follow t[i,j] = t[i,j-1]*t[i+1,j]/t[i+1,j-1]; the evaluation order
-    never changes values, same ownership contract as
-    :class:`~friezecalc.frieze.InfiniteFrieze`.
+    latter is how 0-friezes derived from a frieze are backed); ``u(i)`` and
+    ``v(i)`` read them and raise :class:`ZeroEntryError` on a zero.  The zero
+    diamond rule t[i,j]*t[i+1,j-1] = t[i,j-1]*t[i+1,j] carries t[i,j]/t[i,j-1]
+    down to t[j,j]/t[j,j-1] = v_j/u_j, so row i is one list, t[i,i] = v_i and
+    t[i,j] = t[i,j-1]*v_j/u_j, read as v_i, v_{i+1}, u_{i+1}, v_{i+2}, ...
+    No entry is zero: each is a product of nonzero seeds.  Evaluation order
+    never changes values; same ownership contract as :class:`InfiniteFrieze`.
     """
 
     def __init__(self, u, v, field: FieldDescriptor):
         self.field = field
         # The seed readers must not refer back to self: a reference cycle
         # would keep every evaluated row alive until the cyclic collector runs.
-        self._rows = _DiamondRows(
-            _nonzero(u, "u", -1),
-            _nonzero(v, "v", 0),
-            -1,
-            "0-frieze entry ({i},{j}) is zero; the rows admit no 0-frieze",
-        )
-
-    def u(self, i: int) -> FieldElement:
-        return self._rows.get(i, i - 1)
-
-    def v(self, i: int) -> FieldElement:
-        return self._rows.get(i, i)
+        self.u = _nonzero(u, "u", -1)
+        self.v = _nonzero(v, "v", 0)
+        self._rows: dict[int, list[FieldElement]] = {}
 
     def entry(self, i: int, j: int) -> FieldElement:
         if j < i - 1:
             raise ValueError(f"0-frieze entries need j >= i-1, got ({i},{j})")
-        return self._rows.get(i, j)
+        if j == i - 1:
+            return self.u(i)
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = [self.v(i)]
+        for k in range(i + len(row), j + 1):
+            row.append(row[-1] * self.v(k) / self.u(k))
+        return row[j - i]
 
 
 def from_frieze(f: InfiniteFrieze, k: int) -> ZeroFrieze:
@@ -88,10 +89,14 @@ def from_frieze(f: InfiniteFrieze, k: int) -> ZeroFrieze:
         v_i = x[k]                              (i = 2)
         v_i = -2*f[k,k+i-1]*x[k+i-2]/f[k,k+i-2]       (i >= 3)
 
-    and everything deeper follows from the zero diamond rule.
+    and everything deeper follows from the zero diamond rule.  v_i reads
+    column k+1 of the frieze for i <= 1 and its row k for i >= 3; a 0-frieze
+    row reads both, so column k+1 has its own evaluator, and neither read
+    replaces the other's stored runs.
     """
     fd = f.field
     minus2 = fd.from_int(-2)
+    column = InfiniteFrieze(f.seeds)
 
     def u_fn(i: int) -> FieldElement:
         return minus2 * f.x(k + i - 3 if i <= 2 else k + i - 2)
@@ -100,7 +105,8 @@ def from_frieze(f: InfiniteFrieze, k: int) -> ZeroFrieze:
         if i == 2:
             return f.x(k)
         if i <= 1:
-            return minus2 * f.entry(k + i - 2, k + 1) * f.x(k + i - 2) / f.entry(k + i - 1, k + 1)
+            top = minus2 * column.entry(k + i - 2, k + 1) * f.x(k + i - 2)
+            return top / column.entry(k + i - 1, k + 1)
         return minus2 * f.entry(k, k + i - 1) * f.x(k + i - 2) / f.entry(k, k + i - 2)
 
     return ZeroFrieze(u_fn, v_fn, fd)

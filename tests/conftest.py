@@ -14,6 +14,7 @@ from friezecalc import (
     RATIONAL,
     FieldDescriptor,
     SeedRow,
+    ZeroEntryError,
     build_from_seeds,
     parse_element,
     serialize,
@@ -79,6 +80,7 @@ def corpus_quadratic():
 
 # Seed-row strategies over Q and Q(sqrt(5)) for the recurrence engine.
 seed_fields = st.sampled_from([RATIONAL, Q5])
+pin_fields = st.sampled_from([RATIONAL, Q5, FieldDescriptor(-3)])
 _small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
 
@@ -105,8 +107,45 @@ entry_requests = st.lists(
 
 
 def outcome(entry, i: int, j: int):
-    """The value of entry(i, j), or the type and text of the error it raises."""
+    """The value of entry(i, j), or the type, indices and text of the error it raises."""
     try:
         return entry(i, j)
     except Exception as exc:  # errors are part of the outcome
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__, getattr(exc, "indices", getattr(exc, "index", None)), str(exc)
+
+
+def diamond_entry(row0, row1, base: int, zero_message: str, i: int, j: int, coeff=None):
+    """e(i, j) by the diamond rule, the reference for the package's row rules.
+
+    e(a, a+base) = row0(a), e(a, a+base+1) = row1(a) and, deeper,
+
+        e(a,b) = (e(a,b-1)*e(a+1,b) - coeff(a,b)) / e(a+1,b-1)
+
+    (no subtraction without ``coeff``).  Each call evaluates the whole cone of
+    (i, j) anew, by increasing b - a, then a, reading seeds in that order; a
+    computed zero raises ZeroEntryError with ``zero_message``.
+    """
+    cells = {}
+
+    def e(a, b):
+        r = b - a - base
+        return row0(a) if r == 0 else row1(a) if r == 1 else cells[a, b]
+
+    for d in range(base + 2, j - i + 1):
+        for a in range(i, j - d + 1):
+            b = a + d
+            num = e(a, b - 1) * e(a + 1, b)
+            if coeff is not None:
+                num = num - coeff(a, b)
+            cells[a, b] = num / e(a + 1, b - 1)
+            if cells[a, b].is_zero:
+                raise ZeroEntryError((a, b), zero_message.format(i=a, j=b))
+    return e(i, j)
+
+
+FRIEZE_ZERO = "frieze entry ({i},{j}) is zero; the seeds generate no frieze"
+
+
+def diamond_frieze_entry(x, y, zero_message: str, i: int, j: int):
+    """e(i, j), j > i, of the frieze with seed rows x, y by the diamond rule."""
+    return diamond_entry(x, y, 1, zero_message, i, j, lambda a, b: x(a) * x(b - 1))

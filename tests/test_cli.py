@@ -376,3 +376,63 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert captured.out == "" and "error: argument" in captured.err
         assert "must be at most" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["frieze", "gen", "--seeds", CONST23, "--rows", "101", "--cols", "2"],
+             "argument --rows: must be at most 100, got 101"),
+            (["zerofrieze", "gen", "--seeds", ZERO_EXAMPLE, "--rows", "2", "--cols", "3000"],
+             "argument --cols: must be at most 100, got 3000"),
+            (["frieze", "extract", "--seeds", FIGURE, "--k", "0", "--n", "3000", "--sign", "plus"],
+             "argument --n: must be at most 200, got 3000"),
+            (["frieze", "period", "--seeds", CONST23, "--max", "5000", "--depth", "5"],
+             "argument --max: must be at most 20, got 5000"),
+            (["frieze", "period", "--seeds", CONST23, "--max", "4", "--depth", "21"],
+             "argument --depth: must be at most 20, got 21"),
+            (["frieze", "cone", "--seeds", CONST23, "--i", "-1", "--j", "200"],
+             "cone extent j - i must be at most 200, got 201"),
+            (["zerofrieze", "from-frieze", "--seeds", CONST23, "--k", "0",
+              "--rows", "2", "--cols", "2", "--start", "3000"],
+             "must be at most 200, got 3004"),
+            (["zerofrieze", "from-frieze", "--seeds", CONST23, "--k", "0",
+              "--rows", "2", "--cols", "2", "--start", "-3000"],
+             "must be at most 200, got 3002"),
+            (["cc", "check", "--quiddity", ",".join(["1"] * 3000)],
+             "quiddity length must be at most 200, got 3000"),
+        ],
+        ids=["rows", "cols", "extract-n", "period-max", "period-depth", "cone-extent",
+             "reach-right", "reach-left", "quiddity-length"],
+    )
+    def test_frieze_sizes_above_cap(self, capsys, argv, message):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frieze", "cone", "--seeds", CONST23, "--i", "-100", "--j", "100"],
+            ["zerofrieze", "from-frieze", "--seeds", CONST23, "--k", "0",
+             "--rows", "2", "--cols", "2", "--start", "-198"],
+            ["frieze", "period", "--seeds", CONST23, "--max", "20", "--depth", "20"],
+            ["cc", "check", "--quiddity", ",".join(map(str, [198, 1] + [2] * 197 + [1]))],
+        ],
+        ids=["cone-extent", "reach", "period", "quiddity-length"],
+    )
+    def test_frieze_sizes_at_cap(self, capsys, argv):
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["frieze", "gen", "--rows", "2", "--cols", "2", "--seeds"]],
+    )
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert run([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "nested too deeply" in captured.err

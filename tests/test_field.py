@@ -101,6 +101,17 @@ class TestParse:
     def test_accepted_forms(self, text, a, b):
         assert parse_element(text, Q5) == Q5.element(a, b)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from([RATIONAL, Q5, QM1]),
+        st.text() | st.text(alphabet="0123456789/+-* sqrt()\t٣x", max_size=30),
+    )
+    def test_arbitrary_text_raises_only_input_errors(self, fd, text):
+        try:
+            parse_element(text, fd)
+        except (ElementSyntaxError, ZeroDivisionError, ValueError):
+            pass
+
 
 class TestCoefficients:
     @pytest.mark.parametrize("bad", [0.1, 2.0, "1/2"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -30,14 +31,19 @@ from friezecalc.matrix import SeedData
 from friezecalc.serialize import frieze_seeds_from_json
 
 from conftest import (
+    FRIEZE_ZERO,
+    diamond_frieze_entry,
     entry_requests,
     load_fixture,
     nonzero_elements,
     outcome,
+    pin_fields,
     rat,
     seed_fields,
     seed_rows,
 )
+
+MATRIX_ZERO = "seeds generate a zero entry at ({i},{j})"
 
 
 def const_frieze(xv=2, yv=3) -> InfiniteFrieze:
@@ -219,7 +225,8 @@ class TestPeriod:
 
 
 class TestEngine:
-    """The diamond engine behind frieze matrices, friezes and 0-friezes."""
+    """The row-rule engine behind frieze matrices and friezes, pinned to the
+    diamond rule it is derived from."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), seed_fields, st.integers(3, 9))
@@ -243,3 +250,34 @@ class TestEngine:
         for i, d in requests:
             fresh = InfiniteFrieze(seeds)
             assert outcome(shared.entry, i, i + d) == outcome(fresh.entry, i, i + d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), pin_fields, entry_requests)
+    def test_row_rule_matches_diamond_rule(self, data, fd, requests):
+        x, y = data.draw(seed_rows(fd)), data.draw(seed_rows(fd))
+        f = InfiniteFrieze(FriezeSeeds(x, y, fd))
+        for i, d in requests:
+            expected = (
+                fd.zero if d == 0
+                else outcome(partial(diamond_frieze_entry, x.value, y.value, FRIEZE_ZERO), i, i + d)
+            )
+            assert outcome(f.entry, i, i + d) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), pin_fields, st.integers(2, 9))
+    def test_build_from_seeds_matches_diamond_rule(self, data, fd, n):
+        x = tuple(data.draw(st.lists(nonzero_elements(fd), min_size=n - 1, max_size=n - 1)))
+        y = tuple(data.draw(st.lists(nonzero_elements(fd), min_size=n - 2, max_size=n - 2)))
+
+        def matrix(_i, _j):
+            return build_from_seeds(SeedData(x, y), fd).rows()
+
+        def reference(_i, _j):
+            entry = partial(diamond_frieze_entry, lambda i: x[i - 1], lambda i: y[i - 1], MATRIX_ZERO)
+            entry(1, n)
+            return tuple(
+                tuple(fd.zero if i == j else entry(min(i, j), max(i, j)) for j in range(1, n + 1))
+                for i in range(1, n + 1)
+            )
+
+        assert outcome(matrix, 1, n) == outcome(reference, 1, n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,45 @@ from friezecalc.generators import random_rational
 from friezecalc.matrix import SeedData
 from friezecalc.serialize import zero_seeds_from_json
 
-from conftest import entry_requests, load_fixture, outcome, rat, seed_fields, seed_rows
+from conftest import (
+    FRIEZE_ZERO,
+    diamond_entry,
+    diamond_frieze_entry,
+    entry_requests,
+    load_fixture,
+    outcome,
+    pin_fields,
+    rat,
+    seed_fields,
+    seed_rows,
+)
+
+ZERO_MESSAGE = "0-frieze entry ({i},{j}) is zero; the rows admit no 0-frieze"
+
+
+def diamond_zero_entry(u, v, i: int, j: int):
+    """t[i,j], j >= i-1, of the 0-frieze with rows u, v by the zero diamond rule."""
+    return diamond_entry(u, v, -1, ZERO_MESSAGE, i, j)
+
+
+def diamond_from_frieze_rows(x, y, fd, k: int):
+    """The rows u, v of from_frieze(f, k), written out on diamond-rule entries."""
+    minus2 = fd.from_int(-2)
+
+    def f(i, j):
+        return diamond_frieze_entry(x, y, FRIEZE_ZERO, i, j)
+
+    def u(i):
+        return minus2 * x(k + i - 3 if i <= 2 else k + i - 2)
+
+    def v(i):
+        if i == 2:
+            return x(k)
+        if i <= 1:
+            return minus2 * f(k + i - 2, k + 1) * x(k + i - 2) / f(k + i - 1, k + 1)
+        return minus2 * f(k, k + i - 1) * x(k + i - 2) / f(k, k + i - 2)
+
+    return u, v
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +132,27 @@ class TestRecursion:
             fresh = ZeroFrieze(u, v, fd)
             assert outcome(shared.entry, i, i + d - 1) == outcome(fresh.entry, i, i + d - 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), pin_fields, entry_requests)
+    def test_running_product_matches_zero_diamond_rule(self, data, fd, requests):
+        u, v = data.draw(seed_rows(fd)), data.draw(seed_rows(fd))
+        zf = ZeroFrieze(u, v, fd)
+        reference = partial(diamond_zero_entry, u.value, v.value)
+        for i, d in requests:
+            assert outcome(zf.entry, i, i + d - 1) == outcome(reference, i, i + d - 1)
+
 
 class TestFromFrieze:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), pin_fields, st.integers(-3, 3), entry_requests)
+    def test_matches_the_diamond_rule_on_both_arrays(self, data, fd, k, requests):
+        x, y = data.draw(seed_rows(fd)), data.draw(seed_rows(fd))
+        zf = from_frieze(InfiniteFrieze(FriezeSeeds(x, y, fd)), k)
+        u, v = diamond_from_frieze_rows(x.value, y.value, fd, k)
+        reference = partial(diamond_zero_entry, u, v)
+        for i, d in requests:
+            assert outcome(zf.entry, i, i + d - 1) == outcome(reference, i, i + d - 1)
+
     def test_u_row_constant(self):
         tk = from_frieze(const_frieze(), 0)
         assert all(tk.u(i) == rat(-4) for i in range(-4, 5))
