@@ -172,13 +172,16 @@ def detect_period(
 
     The certificate window is rows 1..depth and columns i in
     [col_start, col_start + max_period]; periodicity is certified on that
-    window only, which is all finite data can support.
+    window only, which is all finite data can support.  The shifted side is
+    read through its own evaluator, so once P exceeds the depth the two
+    sides' disjoint columns do not replace each other's stored runs.
     """
     if max_period < 1 or depth < 1:
         raise ValueError("max_period and depth must be positive")
+    shifted = InfiniteFrieze(f.seeds)
     for period in range(1, max_period + 1):
         if all(
-            f.entry(i, i + r) == f.entry(i + period, i + period + r)
+            f.entry(i, i + r) == shifted.entry(i + period, i + period + r)
             for r in range(1, depth + 1)
             for i in range(col_start, col_start + max_period + 1)
         ):

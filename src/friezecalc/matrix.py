@@ -175,18 +175,21 @@ class _FriezeRows:
           = e(i,j-1)*e(i+1,j-1)*y(j-2) - x(j-1)*e(i,j-2)*e(i+1,j-1),
 
     and divide by the nonzero e(i+1,j-1) to get L at (i, j).  A cell thus
-    reads only its own row and divides only by a seed.
+    reads only its own row, and its step factors y(j-2)/x(j-2), x(j-1)/x(j-2)
+    depend on its column alone: kept per column, they leave a cell no division.
 
     Each computed row d = j - i is stored as one run of consecutive columns
     i; a request whose columns are disjoint from a stored run replaces it.  A
     request evaluates the missing part of its cone by increasing d, then i.
-    Row d = 3 reads y(i), y(i+1), x(i), x(i+2), x(i+1) per cell, as the
-    diamond rule did, and with them every seed deeper rows read, so values
-    and raised errors never depend on earlier requests.  A computed zero
-    raises :class:`ZeroEntryError` with ``zero_message.format(i=i, j=j)``.
+    A cell reads e(i,j-1), y(j-2), e(i,j-2), x(j-1), x(j-2), in row d = 3
+    y(i), y(i+1), x(i), x(i+2), x(i+1) as the diamond rule did; once its
+    column has factors it skips the seed reads, which succeeded then and are
+    pure, so values and raised errors never depend on earlier requests.  A
+    computed zero raises :class:`ZeroEntryError` with
+    ``zero_message.format(i=i, j=j)``.
     """
 
-    __slots__ = ("_x", "_y", "_zero_message", "_starts", "_runs")
+    __slots__ = ("_x", "_y", "_zero_message", "_starts", "_runs", "_steps")
 
     def __init__(self, x, y, zero_message: str):
         self._x = x
@@ -195,6 +198,8 @@ class _FriezeRows:
         # Row d = 3 + r holds e(i, i+d) for i in [_starts[r], _starts[r] + len(_runs[r])).
         self._starts: list[int] = []
         self._runs: list[list[FieldElement]] = []
+        # Column j -> (y(j-2)/x(j-2), x(j-1)/x(j-2)).
+        self._steps: dict[int, tuple[FieldElement, FieldElement]] = {}
 
     def get(self, i: int, j: int) -> FieldElement:
         """e(i, j) for j - i >= 1."""
@@ -234,10 +239,17 @@ class _FriezeRows:
 
     def _cells(self, r: int, lo: int, hi: int) -> list[FieldElement]:
         up, up2, x, y = self._row(r - 1), self._row(r - 2), self._x, self._y
+        steps = self._steps
         out = []
         for i in range(lo, hi):
             j = i + r + 3
-            val = (up(i) * y(j - 2) - up2(i) * x(j - 1)) / x(j - 2)
+            step = steps.get(j)
+            if step is None:
+                left, yj, right, xj, div = up(i), y(j - 2), up2(i), x(j - 1), x(j - 2)
+                step = steps[j] = (yj / div, xj / div)
+            else:
+                left, right = up(i), up2(i)
+            val = left * step[0] - right * step[1]
             if val.is_zero:
                 raise ZeroEntryError((i, j), self._zero_message.format(i=i, j=j))
             out.append(val)

@@ -53,8 +53,11 @@ class ZeroFrieze:
     diamond rule t[i,j]*t[i+1,j-1] = t[i,j-1]*t[i+1,j] carries t[i,j]/t[i,j-1]
     down to t[j,j]/t[j,j-1] = v_j/u_j, so row i is one list, t[i,i] = v_i and
     t[i,j] = t[i,j-1]*v_j/u_j, read as v_i, v_{i+1}, u_{i+1}, v_{i+2}, ...
-    No entry is zero: each is a product of nonzero seeds.  Evaluation order
-    never changes values; same ownership contract as :class:`InfiniteFrieze`.
+    The factor v_k/u_k is kept per k, so an R x C window reads O(R + C)
+    seeds; a kept factor's reads succeeded once and are pure, so skipping
+    them hides no error.  No entry is zero: each is a product of nonzero
+    seeds.  Evaluation order never changes values or errors; same ownership
+    contract as :class:`InfiniteFrieze`.
     """
 
     def __init__(self, u, v, field: FieldDescriptor):
@@ -64,6 +67,7 @@ class ZeroFrieze:
         self.u = _nonzero(u, "u", -1)
         self.v = _nonzero(v, "v", 0)
         self._rows: dict[int, list[FieldElement]] = {}
+        self._steps: dict[int, FieldElement] = {}
 
     def entry(self, i: int, j: int) -> FieldElement:
         if j < i - 1:
@@ -74,7 +78,10 @@ class ZeroFrieze:
         if row is None:
             row = self._rows[i] = [self.v(i)]
         for k in range(i + len(row), j + 1):
-            row.append(row[-1] * self.v(k) / self.u(k))
+            step = self._steps.get(k)
+            if step is None:
+                step = self._steps[k] = self.v(k) / self.u(k)
+            row.append(row[-1] * step)
         return row[j - i]
 
 

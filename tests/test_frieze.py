@@ -46,6 +46,20 @@ from conftest import (
 MATRIX_ZERO = "seeds generate a zero entry at ({i},{j})"
 
 
+class CountingRow(SeedRow):
+    """A seed row that counts its reads."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, values, start=None):
+        super().__init__(values, start)
+        self.reads = 0
+
+    def value(self, i):
+        self.reads += 1
+        return super().value(i)
+
+
 def const_frieze(xv=2, yv=3) -> InfiniteFrieze:
     return InfiniteFrieze(
         FriezeSeeds(SeedRow.cycle([rat(xv)]), SeedRow.cycle([rat(yv)]), RATIONAL)
@@ -223,10 +237,40 @@ class TestPeriod:
         with pytest.raises(WindowExceededError):
             detect_period(f, 3, 3)
 
+    def test_period_beyond_depth_reads_each_run_once(self):
+        # x has period exactly 25 and y_i >= x_i + x_{i+1} keeps every entry
+        # positive.  At P = depth the two sides' columns are disjoint; read
+        # through one evaluator, each comparison would rebuild its whole cone
+        # (about 400,000 seed reads here).
+        period = 25
+        x = CountingRow.cycle([rat(1 + k % 3) for k in range(period - 1)] + [rat(5)])
+        y = CountingRow.cycle([rat(11)])
+        f = InfiniteFrieze(FriezeSeeds(x, y, RATIONAL))
+        assert detect_period(f, period, period) == period
+        assert x.reads + y.reads <= 10 * (period + period) * period
+
 
 class TestEngine:
     """The row-rule engine behind frieze matrices and friezes, pinned to the
     diamond rule it is derived from."""
+
+    def test_first_failing_read_does_not_depend_on_stored_factors(self):
+        # x's window [3, 10) is narrower than y's [0, 12) on both sides.  A cell
+        # (i, i+3) reads y(i), y(i+1), x(i), x(i+2), x(i+1): (1, 4) fails at x(1),
+        # where reading the step factors first would fail at x(2), and (9, 12)
+        # at x(11), where reading x(j-2) first would fail at x(10).
+        seeds = FriezeSeeds(
+            SeedRow.table(3, [rat(v) for v in (2, 3, 5, 7, 11, 13, 17)]),
+            SeedRow.table(0, [rat(v) for v in range(20, 32)]),
+            RATIONAL,
+        )
+        warm = InfiniteFrieze(seeds)
+        warm.entry(3, 10)  # stores the step factors of columns 6..10
+        warm.entry(4, 9)
+        for (i, j), index in {(1, 4): 1, (9, 12): 11, (1, 7): 1, (6, 12): 10, (0, 5): 0}.items():
+            expected = outcome(InfiniteFrieze(seeds).entry, i, j)
+            assert expected[:2] == ("WindowExceededError", index)
+            assert outcome(warm.entry, i, j) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), seed_fields, st.integers(3, 9))

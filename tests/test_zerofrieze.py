@@ -122,6 +122,22 @@ class TestRecursion:
         second = (zb.entry(1, 3), zb.entry(0, 5))
         assert first == (second[1], second[0])
 
+    def test_window_reads_each_step_factor_once(self):
+        calls = {"u": 0, "v": 0}
+
+        def counted(name, base):
+            def read(i):
+                calls[name] += 1
+                return rat(base + i % 3)
+
+            return read
+
+        rows = cols = 20
+        zf = ZeroFrieze(counted("u", 2), counted("v", 3), RATIONAL)
+        window_cells(zf, -3, cols, rows)
+        # One read per row start and one per column factor, not one per cell.
+        assert calls["u"] <= 2 * (rows + cols)
+        assert calls["v"] <= 2 * (rows + cols)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), seed_fields, entry_requests)
