@@ -334,15 +334,14 @@ def _cmd_bm_random(args) -> _Result:
 # matrix with entries in [-9, 9] almost surely has two proportional columns
 # once n is near 30, so `bm random` stops at 20.  Frieze entries grow with
 # their depth j - i, so the rows and columns of a window and the extent of
-# the frieze cone a command reads are capped.  `frieze period` compares
-# entries i and i+P apart; for P beyond the depth every comparison
-# recomputes its cone, so its --max and --depth have a lower cap.
+# the frieze cone a command reads are capped.  `frieze period` reads about
+# (max + depth) * depth cells when the last candidate is the period.
 MAX_CASE_SIZE = 200
 MAX_TWO_ROW_SIZE = 20
 MAX_COUNT = 1000
 MAX_WINDOW = 100
 MAX_EXTENT = 200
-MAX_PERIOD = 20
+MAX_PERIOD = 100
 
 
 def _positive(text: str, most: int) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ZeroEntryError
-from .field import FieldDescriptor, FieldElement, _join, format_element
+from .field import _ZERO, FieldDescriptor, FieldElement, _join, format_element
 
 __all__ = [
     "EliminationTrace",
@@ -98,6 +98,21 @@ def _lattice(entries, den: int, d: int | None) -> list:
         (e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
         for e in entries
     ]
+
+
+def _common_lattice(rows, d: int | None) -> tuple[int, list[list]]:
+    """``(den, rows of den * entries)`` for the lcm ``den`` of every
+    coefficient denominator of ``rows``, as :func:`_lattice` holds them."""
+    den = _denominator(e for r in rows for e in r)
+    return den, [_lattice(r, den, d) for r in rows]
+
+
+def _det2(a, b, c, e, d: int | None):
+    """a*b - c*e on lattice values: ints, or pairs p + q*sqrt(d)."""
+    if d is None:
+        return a * b - c * e
+    (a0, a1), (b0, b1), (c0, c1), (e0, e1) = a, b, c, e
+    return (a0 * b0 - c0 * e0 + d * (a1 * b1 - c1 * e1), a0 * b1 + a1 * b0 - c0 * e1 - c1 * e0)
 
 
 class FriezeMatrix:
@@ -286,30 +301,35 @@ def validate(m: FriezeMatrix) -> ValidationReport:
     """Check symmetry, the diagonal rules and every diamond instance.
 
     Every violated rule is reported with both sides of the failed
-    equation; nothing is raised.
+    equation; nothing is raised.  The checks run on DM, M scaled by the
+    lcm D of all coefficient denominators (see :func:`check_ptolemy`):
+    equality and zero are unchanged by the scaling, and both sides of a
+    diamond relation have degree 2, so both scale by D^2.  A failing
+    diamond instance is recomputed on the field elements for its report.
     """
     n = m.n
     zero = m.field.zero
+    d = m.field.d
+    rows = m.rows()
+    _, g = _common_lattice(rows, d)
+    z = 0 if d is None else (0, 0)
     out: list[Violation] = []
-    for i in range(1, n + 1):
-        mii = m.entry(i, i)
-        if not mii.is_zero:
-            out.append(Violation(RULE_ZERO_DIAGONAL, (i, i), mii, zero))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if m.entry(i, j) != m.entry(j, i):
-                out.append(
-                    Violation(RULE_SYMMETRY, (i, j), m.entry(i, j), m.entry(j, i))
-                )
-            if m.entry(i, j).is_zero:
-                out.append(
-                    Violation(RULE_NONZERO_OFF_DIAGONAL, (i, j), zero, zero)
-                )
-    for i in range(1, n):
+    for i in range(n):
+        if g[i][i] != z:
+            out.append(Violation(RULE_ZERO_DIAGONAL, (i + 1, i + 1), rows[i][i], zero))
+    for i in range(n):
         for j in range(i + 1, n):
-            lhs = m.entry(i, j) * m.entry(i + 1, j + 1) - m.entry(i + 1, j) * m.entry(i, j + 1)
-            rhs = m.entry(i, i + 1) * m.entry(j, j + 1)
-            if lhs != rhs:
+            if g[i][j] != g[j][i]:
+                out.append(Violation(RULE_SYMMETRY, (i + 1, j + 1), rows[i][j], rows[j][i]))
+            if g[i][j] == z:
+                out.append(Violation(RULE_NONZERO_OFF_DIAGONAL, (i + 1, j + 1), zero, zero))
+    for i in range(1, n):
+        r, s = g[i - 1], g[i]
+        for j in range(i + 1, n):
+            # The right side m[i,i+1]*m[j,j+1] is a 2x2 determinant with a zero row.
+            if _det2(r[j - 1], s[j], s[j - 1], r[j], d) != _det2(r[i], g[j - 1][j], z, z, d):
+                lhs = m.entry(i, j) * m.entry(i + 1, j + 1) - m.entry(i + 1, j) * m.entry(i, j + 1)
+                rhs = m.entry(i, i + 1) * m.entry(j, j + 1)
                 out.append(Violation(RULE_DIAMOND, (i, j), lhs, rhs))
     return ValidationReport(tuple(out))
 
@@ -339,10 +359,8 @@ def check_ptolemy(
         quads = [(i - 1, j - 1, k - 1, l - 1)]
     else:
         quads = itertools.combinations_with_replacement(range(n), 4)
-    rows = m.rows()
     d = m.field.d
-    den = _denominator(e for r in rows for e in r)
-    g = [_lattice(r, den, d) for r in rows]
+    _, g = _common_lattice(m.rows(), d)
     out = []
     for i, j, k, l in quads:
         gi, gj = g[i], g[j]
@@ -428,50 +446,70 @@ def _t_closed_form(m: FriezeMatrix) -> TriangularMatrix:
     return TriangularMatrix(tuple(rows))
 
 
-def _snapshot(rows) -> tuple[tuple[FieldElement, ...], ...]:
-    return tuple(tuple(r) for r in rows)
-
-
 def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
     """Apply the literal row-operation schedule and record every stage.
 
     Multipliers are taken from the original matrix entries, not from the
     current pivots, so the trace certifies the prescribed schedule rather
     than generic Gaussian elimination.
+
+    The rows run on the lattice of :func:`check_ptolemy`: work row r is
+    v_r / D_r, with v_r ints or pairs p + q*sqrt(d) and D_r an int, all
+    starting at the common denominator.  The multiplier a/b has a, b in
+    that lattice, and a/b = a*conj(b) / N(b) over Q(sqrt(d)) (over Q read
+    conj(b) = 1 and N(b) = b), so R_r <- R_r - (a/b)*R_k is the integer
+    combination (v_r*N(b)*D_k - a*conj(b)*D_r*v_k) / (D_r*N(b)*D_k),
+    reduced by the gcd of the row.  A column where v_k is zero keeps its value (a - c*0
+    = a) and its element; elements are built only for the changed entries.
     """
     n = m.n
-    work = [list(r) for r in m.rows()]
-    work[0], work[1] = work[1], work[0]
-    mats = [_snapshot(work)]
-    steps = ["swap rows 1 and 2"]
-
-    def reduce_rows(pivot_row: int, coeff_of, targets) -> str:
+    fd = m.field
+    d = fd.d
+    rows = m.rows()
+    den, g = _common_lattice(rows, d)
+    z = 0 if d is None else (0, 0)
+    vecs, dens, elems = [g[1], g[0], *g[2:]], [den] * n, [rows[1], rows[0], *rows[2:]]
+    mats, steps = [tuple(elems)], ["swap rows 1 and 2"]
+    # Stage (k, a_row, b_col, targets): R_i <- R_i - (m[a_row,i]/m[1,b_col])*R_k.
+    schedule = [(1, 1, 2, range(3, n + 1)), (2, 2, 2, range(3, n + 1))]
+    schedule += [(k, 1, k, range(k + 1, n + 1)) for k in range(3, n)]
+    for k, a_row, b_col, targets in schedule[: n - 1]:
+        pivot = m.entry(1, b_col)
+        if k >= 3 and pivot.is_zero:
+            raise ZeroDivisionError(f"m[1,{k}] = 0; input is not a frieze matrix")
+        vk, b = vecs[k - 1], g[0][b_col - 1]
+        nz = [j for j, v in enumerate(vk) if v != z]
         ops = []
         for i in targets:
-            c = coeff_of(i)
-            src = work[pivot_row - 1]
-            work[i - 1] = [a - c * b for a, b in zip(work[i - 1], src)]
-            ops.append(f"R{i} <- R{i} - ({format_element(c)})*R{pivot_row}")
-        return "; ".join(ops) if ops else "no-op"
-
-    x12 = m.entry(1, 2)
-    steps.append(
-        reduce_rows(1, lambda i: m.entry(1, i) / x12, range(3, n + 1))
-    )
-    mats.append(_snapshot(work))
-    steps.append(
-        reduce_rows(2, lambda i: m.entry(2, i) / x12, range(3, n + 1))
-    )
-    mats.append(_snapshot(work))
-    for k in range(3, n):
-        pivot = m.entry(1, k)
-        if pivot.is_zero:
-            raise ZeroDivisionError(f"m[1,{k}] = 0; input is not a frieze matrix")
-        steps.append(
-            reduce_rows(k, lambda i: m.entry(1, i) / pivot, range(k + 1, n + 1))
-        )
-        mats.append(_snapshot(work))
-    return EliminationTrace(tuple(mats[: n]), tuple(steps[: n]))
+            c = m.entry(a_row, i) / pivot
+            ops.append(f"R{i} <- R{i} - ({format_element(c)})*R{k}")
+            a, vr, dr = g[a_row - 1][i - 1], vecs[i - 1], dens[i - 1]
+            if d is None:
+                s, t = b * dens[k - 1], a * dr
+                new = [v * s - t * u for v, u in zip(vr, vk)]
+                q = math.gcd(dr * s, *new)
+                new = [v // q for v in new]
+            else:
+                s = (b[0] * b[0] - d * b[1] * b[1]) * dens[k - 1]
+                t0, t1 = (a[0] * b[0] - d * a[1] * b[1]) * dr, (a[1] * b[0] - a[0] * b[1]) * dr
+                new = [
+                    (v0 * s - t0 * u0 - d * t1 * u1, v1 * s - t0 * u1 - t1 * u0)
+                    for (v0, v1), (u0, u1) in zip(vr, vk)
+                ]
+                q = math.gcd(dr * s, *(x for w in new for x in w))
+                new = [(v0 // q, v1 // q) for v0, v1 in new]
+            dr = dr * s // q
+            vecs[i - 1], dens[i - 1] = new, dr
+            row = list(elems[i - 1])
+            for j in nz:
+                v0, v1 = (new[j], 0) if d is None else new[j]
+                row[j] = FieldElement(
+                    Fraction(v0, dr) if v0 else _ZERO, Fraction(v1, dr) if v1 else _ZERO, fd
+                )
+            elems[i - 1] = tuple(row)
+        steps.append("; ".join(ops) if ops else "no-op")
+        mats.append(tuple(elems))
+    return EliminationTrace(tuple(mats), tuple(steps))
 
 
 def triangulate(
@@ -630,18 +668,29 @@ def check_t_properties(t: TriangularMatrix, m: FriezeMatrix) -> ValidationReport
     (a) every neighbouring 2x2 determinant above the diagonal vanishes:
         t[i,j]t[i+1,j+1] - t[i+1,j]t[i,j+1] = 0 for i >= 2, j >= i+1;
     (b) t[i,i]t[i+1,i+1] + 2*m[i,i+1]*t[i,i+1] = 0 for i >= 2.
+
+    Both are homogeneous of degree 2 in the entries of t and the m[i,i+1],
+    so they run on those entries scaled by their common denominator D, as
+    in :func:`check_ptolemy`; a failure is recomputed for its report.
     """
     n = t.n
     zero = m.field.zero
     two = m.field.from_int(2)
+    # Row n + 1 holds -2*m[i,i+1] at column i - 1, so (b) is a 2x2 determinant too.
+    rows = t.rows + (tuple(-2 * m.entry(i, i + 1) for i in range(2, n)),)
+    d = _common_field(e for r in rows for e in r).d
+    _, g = _common_lattice(rows, d)
+    z = 0 if d is None else (0, 0)
     out = []
     for i in range(2, n):
+        r, s = g[i - 1], g[i]
         for j in range(i + 1, n):
-            lhs = t.entry(i, j) * t.entry(i + 1, j + 1) - t.entry(i + 1, j) * t.entry(i, j + 1)
-            if not lhs.is_zero:
+            if _det2(r[j - 1], s[j], s[j - 1], r[j], d) != z:
+                lhs = t.entry(i, j) * t.entry(i + 1, j + 1) - t.entry(i + 1, j) * t.entry(i, j + 1)
                 out.append(Violation(RULE_ZERO_DIAMOND, (i, j), lhs, zero))
     for i in range(2, n):
-        lhs = t.entry(i, i) * t.entry(i + 1, i + 1) + two * m.entry(i, i + 1) * t.entry(i, i + 1)
-        if not lhs.is_zero:
+        if _det2(g[i - 1][i - 1], g[i][i], g[n][i - 2], g[i - 1][i], d) != z:
+            lhs = t.entry(i, i) * t.entry(i + 1, i + 1)
+            lhs = lhs + two * m.entry(i, i + 1) * t.entry(i, i + 1)
             out.append(Violation(RULE_DIAGONAL_RELATION, (i,), lhs, zero))
     return ValidationReport(tuple(out))

@@ -387,9 +387,9 @@ class TestBadInputExits2:
             (["frieze", "extract", "--seeds", FIGURE, "--k", "0", "--n", "3000", "--sign", "plus"],
              "argument --n: must be at most 200, got 3000"),
             (["frieze", "period", "--seeds", CONST23, "--max", "5000", "--depth", "5"],
-             "argument --max: must be at most 20, got 5000"),
-            (["frieze", "period", "--seeds", CONST23, "--max", "4", "--depth", "21"],
-             "argument --depth: must be at most 20, got 21"),
+             "argument --max: must be at most 100, got 5000"),
+            (["frieze", "period", "--seeds", CONST23, "--max", "4", "--depth", "101"],
+             "argument --depth: must be at most 100, got 101"),
             (["frieze", "cone", "--seeds", CONST23, "--i", "-1", "--j", "200"],
              "cone extent j - i must be at most 200, got 201"),
             (["zerofrieze", "from-frieze", "--seeds", CONST23, "--k", "0",
@@ -417,7 +417,7 @@ class TestBadInputExits2:
             ["frieze", "cone", "--seeds", CONST23, "--i", "-100", "--j", "100"],
             ["zerofrieze", "from-frieze", "--seeds", CONST23, "--k", "0",
              "--rows", "2", "--cols", "2", "--start", "-198"],
-            ["frieze", "period", "--seeds", CONST23, "--max", "20", "--depth", "20"],
+            ["frieze", "period", "--seeds", CONST23, "--max", "100", "--depth", "100"],
             ["cc", "check", "--quiddity", ",".join(map(str, [198, 1] + [2] * 197 + [1]))],
         ],
         ids=["cone-extent", "reach", "period", "quiddity-length"],

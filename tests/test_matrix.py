@@ -23,11 +23,13 @@ from friezecalc import (
     det_closed_form,
     det_cofactor,
     det_elimination,
+    format_element,
     reconstruct_entry,
     triangulate,
     validate,
 )
 from friezecalc.generators import random_frieze_matrix
+from friezecalc.matrix import _elimination_trace
 
 from conftest import el5, rat
 
@@ -189,6 +191,47 @@ def test_ptolemy_scan_matches_reference(m, quad, ordered):
             check_ptolemy(m, quad)
 
 
+def reference_validate(m):
+    """The rule checks on field elements that the integer-lattice checks replaced."""
+    n, zero = m.n, m.field.zero
+    out = []
+    for i in range(1, n + 1):
+        if not m.entry(i, i).is_zero:
+            out.append(("zero_diagonal", (i, i), m.entry(i, i), zero))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if m.entry(i, j) != m.entry(j, i):
+                out.append(("symmetry", (i, j), m.entry(i, j), m.entry(j, i)))
+            if m.entry(i, j).is_zero:
+                out.append(("nonzero_off_diagonal", (i, j), zero, zero))
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            lhs = m.entry(i, j) * m.entry(i + 1, j + 1) - m.entry(i + 1, j) * m.entry(i, j + 1)
+            rhs = m.entry(i, i + 1) * m.entry(j, j + 1)
+            if lhs != rhs:
+                out.append(("diamond", (i, j), lhs, rhs))
+    return [(*v, v[2].field, v[3].field) for v in out]
+
+
+@st.composite
+def matrices_with_zero_pairs(draw):
+    """A matrix of :func:`ptolemy_matrices`, or one whose symmetric
+    off-diagonal pair at a drawn position is set to zero."""
+    m = draw(ptolemy_matrices())
+    if not draw(st.booleans()):
+        return m
+    rows = [list(r) for r in m.rows()]
+    i, j = sorted(draw(st.lists(st.integers(0, m.n - 1), min_size=2, max_size=2, unique=True)))
+    rows[i][j] = rows[j][i] = m.field.zero
+    return FriezeMatrix(rows)
+
+
+@given(matrices_with_zero_pairs())
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_reference(m):
+    assert ptolemy_violations(validate(m)) == reference_validate(m)
+
+
 def expected_stage_entry(m, k, i, j):
     """Independent closed form for stage k of the elimination, case by case.
 
@@ -271,6 +314,61 @@ class TestTriangulate:
         _, trace = triangulate(const23, keep_trace=True)
         assert trace.steps[0] == "swap rows 1 and 2"
         assert "R3 <- R3" in trace.steps[1]
+
+
+def reference_trace(m):
+    """The literal schedule on field elements that the lattice trace replaced."""
+    n = m.n
+    work = [list(r) for r in m.rows()]
+    work[0], work[1] = work[1], work[0]
+    mats, steps = [tuple(map(tuple, work))], ["swap rows 1 and 2"]
+
+    def reduce_rows(pivot_row, coeff_of, targets):
+        ops = []
+        for i in targets:
+            c = coeff_of(i)
+            work[i - 1] = [a - c * b for a, b in zip(work[i - 1], work[pivot_row - 1])]
+            ops.append(f"R{i} <- R{i} - ({format_element(c)})*R{pivot_row}")
+        steps.append("; ".join(ops) if ops else "no-op")
+        mats.append(tuple(map(tuple, work)))
+
+    x12 = m.entry(1, 2)
+    reduce_rows(1, lambda i: m.entry(1, i) / x12, range(3, n + 1))
+    reduce_rows(2, lambda i: m.entry(2, i) / x12, range(3, n + 1))
+    for k in range(3, n):
+        pivot = m.entry(1, k)
+        if pivot.is_zero:
+            raise ZeroDivisionError(f"m[1,{k}] = 0; input is not a frieze matrix")
+        reduce_rows(k, lambda i: m.entry(1, i) / pivot, range(k + 1, n + 1))
+    return mats[:n], steps[:n]
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except ZeroDivisionError as err:
+        return str(err)
+
+
+@given(matrices_with_zero_pairs())
+@settings(max_examples=200, deadline=None)
+def test_trace_matches_reference(m):
+    """Every stage entry's value and text, and the steps, equal the field-element
+    loop's, and so does a ZeroDivisionError; on a single-field matrix, the fields too."""
+    expected = _outcome(reference_trace, m)
+    got = _outcome(_elimination_trace, m)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    mats, steps = expected
+    assert got.steps == tuple(steps)
+    assert len(got.matrices) == len(mats)
+    single = all(e.field == m.field for r in m.rows() for e in r)
+    for stage, ref in zip(got.matrices, mats):
+        for row, ref_row in zip(stage, ref, strict=True):
+            for e, r in zip(row, ref_row, strict=True):
+                assert (e.a, e.b, format_element(e)) == (r.a, r.b, format_element(r))
+                assert not single or e.field == r.field
 
 
 class TestDeterminants:
@@ -392,3 +490,51 @@ class TestTProperties:
         report = check_t_properties(TriangularMatrix(tuple(tuple(r) for r in rows)), const23)
         assert not report.ok
         assert any(v.rule == "zero_diamond" for v in report.violations)
+
+    def test_sqrt_part_in_the_t_of_a_rational_matrix(self, const23):
+        t, _ = triangulate(const23)
+        rows = [list(r) for r in t.rows]
+        rows[2][4] = rows[2][4] + FieldDescriptor(5).element(0, 1)
+        t = TriangularMatrix(tuple(tuple(r) for r in rows))
+        report = check_t_properties(t, const23)
+        assert not report.ok
+        assert ptolemy_violations(report) == reference_t_properties(t, const23)
+
+
+def reference_t_properties(t, m):
+    """The two identities on field elements that the lattice checks replaced."""
+    n, zero, two = t.n, m.field.zero, m.field.from_int(2)
+    out = []
+    for i in range(2, n):
+        for j in range(i + 1, n):
+            lhs = t.entry(i, j) * t.entry(i + 1, j + 1) - t.entry(i + 1, j) * t.entry(i, j + 1)
+            if not lhs.is_zero:
+                out.append(("zero_diamond", (i, j), lhs, zero, lhs.field, zero.field))
+    for i in range(2, n):
+        lhs = t.entry(i, i) * t.entry(i + 1, i + 1) + two * m.entry(i, i + 1) * t.entry(i, i + 1)
+        if not lhs.is_zero:
+            out.append(("diagonal_relation", (i,), lhs, zero, lhs.field, zero.field))
+    return out
+
+
+@given(ptolemy_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_t_properties_match_reference(m, data):
+    """On the closed-form T of a valid or changed matrix, left alone or with
+    one entry changed: an element added (of Q(sqrt(5)) to the T of a
+    rational matrix), or the entry replaced by a plain rational."""
+    try:
+        t, _ = triangulate(m)
+    except ZeroDivisionError:
+        assume(False)
+    rows = [list(r) for r in t.rows]
+    i, j = data.draw(st.integers(0, m.n - 1)), data.draw(st.integers(0, m.n - 1))
+    change = data.draw(st.sampled_from(["none", "add", "replace"]))
+    if change == "add":
+        fd = FieldDescriptor(5) if m.field.is_rational else m.field
+        a = st.just(0) | _ptolemy_coeffs  # a = 0: only the sqrt(5) part changes
+        rows[i][j] += data.draw(st.builds(fd.element, a, _ptolemy_coeffs))
+    elif change == "replace":
+        rows[i][j] = RATIONAL.element(data.draw(_ptolemy_coeffs))
+    t = TriangularMatrix(tuple(tuple(r) for r in rows))
+    assert ptolemy_violations(check_t_properties(t, m)) == reference_t_properties(t, m)
