@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderViolationError, ZeroMinorError
-from .field import RATIONAL, FieldElement, _join
+from .field import RATIONAL, FieldDescriptor, FieldElement
 from .matrix import (
     FriezeMatrix,
     SeedData,
+    _common_field,
     build_from_seeds,
     det_closed_form,
     det_elimination,
@@ -94,35 +95,14 @@ class Triangulation:
                 if _crossing(d1, d2):
                     raise ValueError(f"diagonals {d1} and {d2} cross")
 
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """The k-2 triangles, as vertex triples.
-
-        Because the diagonals are non-crossing, every 3-clique of boundary
-        edges plus diagonals bounds a face, so clique enumeration suffices.
-        """
-        edges = set(self.diagonals)
-        for i in range(1, self.k):
-            edges.add((i, i + 1))
-        edges.add((1, self.k))
-        out = []
-        for p in range(1, self.k + 1):
-            for q in range(p + 1, self.k + 1):
-                if (p, q) not in edges:
-                    continue
-                for s in range(q + 1, self.k + 1):
-                    if (p, s) in edges and (q, s) in edges:
-                        out.append((p, q, s))
-        if len(out) != self.k - 2:
-            raise ValueError("triangulation does not decompose into k-2 triangles")
-        return out
-
 
 def quiddity_from_triangulation(t: Triangulation) -> QuiddityData:
-    """a_i = number of triangles at vertex i; the counts sum to 3(k-2)."""
-    counts = [0] * t.k
-    for tri in t.triangles():
-        for v in tri:
-            counts[v - 1] += 1
+    """a_i = 1 + the number of diagonals at vertex i: they cut the angle
+    between the two sides at i into that many triangles."""
+    counts = [1] * t.k
+    for p, q in t.diagonals:
+        counts[p - 1] += 1
+        counts[q - 1] += 1
     return QuiddityData(tuple(counts))
 
 
@@ -184,11 +164,8 @@ class TwoRowMatrix:
         return len(self.top)
 
     @property
-    def field(self):
-        fd = None
-        for v in self.top + self.bottom:
-            fd = v.field if fd is None else _join(fd, v.field)
-        return fd
+    def field(self) -> FieldDescriptor:
+        return _common_field(self.top + self.bottom)
 
     def minor(self, i: int, j: int) -> FieldElement:
         """Column minor D_ij = a_i*b_j - a_j*b_i, 1-based."""

@@ -66,7 +66,9 @@ def _at_most(what: str, value: int, most: int) -> None:
 
 
 def _load_matrix(path: str):
-    return serialize.matrix_from_json(_read_json(path))
+    m = serialize.matrix_from_json(_read_json(path))
+    _at_most("matrix size n", m.n, MAX_MATRIX_SIZE)
+    return m
 
 
 def _load_frieze(path: str) -> InfiniteFrieze:
@@ -126,7 +128,7 @@ def _cmd_triangulate(args) -> _Result:
     if not report.ok:
         return serialize.report_to_json(report), False, "triangulate: input failed validation"
     t, trace = triangulate(m, keep_trace=args.trace)
-    out: dict[str, Any] = {"t": serialize.triangular_to_json(t)}
+    out: dict[str, Any] = {"t": serialize.matrix_to_json(t)}
     ok = True
     if trace is not None:
         out["trace"] = {
@@ -136,7 +138,7 @@ def _cmd_triangulate(args) -> _Result:
                 for stage in trace.matrices
             ],
         }
-        out["trace_matches_closed_form"] = trace.matrices[-1] == t.rows
+        out["trace_matches_closed_form"] = trace.matrices[-1] == t.rows()
         ok = out["trace_matches_closed_form"]
     if args.check_props:
         props = check_t_properties(t, m)
@@ -247,36 +249,33 @@ def _cmd_zero_check(args) -> _Result:
 # -------------------------------------------------------------- cc / bm ops
 
 
-def _quiddity_report(q: classical.QuiddityData) -> tuple[dict[str, Any], bool]:
+def _det_report(check, data, head: dict[str, Any], more) -> tuple[dict[str, Any], bool]:
+    """``head``, ``more()`` and the three determinants of ``check(data)``,
+    or ``head`` and the error that ``check`` raised."""
     try:
-        report = classical.cc_det_check(q)
+        report = check(data)
     except FriezeError as exc:
-        return {"quiddity": list(q.a), "ok": False, "error": str(exc)}, False
+        return {**head, "ok": False, "error": str(exc)}, False
     out = {
-        "quiddity": list(q.a),
-        "k": q.k,
+        **head,
+        **more(),
         "det": format_element(report.det),
         "det_oracle": format_element(report.det_oracle),
         "expected": format_element(report.expected),
         "ok": report.ok,
     }
     return out, report.ok
+
+
+def _quiddity_report(q: classical.QuiddityData) -> tuple[dict[str, Any], bool]:
+    return _det_report(classical.cc_det_check, q, {"quiddity": list(q.a)}, lambda: {"k": q.k})
 
 
 def _two_row_report(x: classical.TwoRowMatrix) -> tuple[dict[str, Any], bool]:
-    try:
-        report = classical.baur_marsh_det_check(x)
-    except FriezeError as exc:
-        return {"n": x.n, "ok": False, "error": str(exc)}, False
-    out = {
-        "n": x.n,
-        "rows": serialize.two_row_to_json(x)["rows"],
-        "det": format_element(report.det),
-        "det_oracle": format_element(report.det_oracle),
-        "expected": format_element(report.expected),
-        "ok": report.ok,
-    }
-    return out, report.ok
+    return _det_report(
+        classical.baur_marsh_det_check, x, {"n": x.n},
+        lambda: {"rows": serialize.two_row_to_json(x)["rows"]},
+    )
 
 
 def _cc_case(rng: random.Random, k: int) -> tuple[dict[str, Any], bool]:
@@ -315,30 +314,42 @@ def _cmd_cc_check(args) -> _Result:
 
 
 def _cmd_cc_random(args) -> _Result:
+    _at_most("count * (k + 12)^3", args.count * (args.k + 12) ** 3, MAX_CC_WORK)
     return _random_checks(args, "cc random", "k", _cc_case)
 
 
 def _cmd_bm_check(args) -> _Result:
-    out, ok = _two_row_report(serialize.two_row_from_json(_read_json(args.matrix)))
+    x = serialize.two_row_from_json(_read_json(args.matrix))
+    _at_most("two-row size n", x.n, MAX_TWO_ROW_CHECK)
+    out, ok = _two_row_report(x)
     return out, ok, f"bm check: {'ok' if ok else 'FAILED'}"
 
 
 def _cmd_bm_random(args) -> _Result:
+    _at_most("count * (n + 12)^3", args.count * (args.n + 12) ** 3, MAX_BM_WORK)
     return _random_checks(args, "bm random", "n", _bm_case)
 
 
 # ------------------------------------------------------------------- parser
 
-# Caps on every size, so that a run at the cap ends in a few seconds.  One
-# cc/bm case is a cubic Bareiss check in its size k or n.  A random 2 x n
-# matrix with entries in [-9, 9] almost surely has two proportional columns
-# once n is near 30, so `bm random` stops at 20.  Frieze entries grow with
-# their depth j - i, so the rows and columns of a window and the extent of
-# the frieze cone a command reads are capped.  `frieze period` reads about
-# (max + depth) * depth cells when the last candidate is the period.
+# Caps on every size, so that a run at the cap ends in a few seconds.  A
+# cc/bm case, a cubic Bareiss check in its size k or n, takes time in
+# proportion to (size + 12)^3 with its fixed costs, so `cc random` and `bm
+# random` cap count * (size + 12)^3 too: 2 cases at k = 200, 50 at n = 20.
+# A random 2 x n matrix with entries in [-9, 9] almost surely has two
+# proportional columns once n is near 30, so `bm random` stops at 20.  The
+# worst matrix document is one whose n^4/24 quadruples all fail Ptolemy.
+# Frieze entries grow with their depth j - i, so the rows and columns of a
+# window and the extent of the frieze cone a command reads are capped.
+# `frieze period` reads about (max + depth) * depth cells when the last
+# candidate is the period.
 MAX_CASE_SIZE = 200
 MAX_TWO_ROW_SIZE = 20
 MAX_COUNT = 1000
+MAX_CC_WORK = 2 * (MAX_CASE_SIZE + 12) ** 3
+MAX_BM_WORK = 50 * (MAX_TWO_ROW_SIZE + 12) ** 3
+MAX_MATRIX_SIZE = 24
+MAX_TWO_ROW_CHECK = 40
 MAX_WINDOW = 100
 MAX_EXTENT = 200
 MAX_PERIOD = 100

@@ -130,22 +130,25 @@ def cone_entries(
     ]
 
 
+def _extract(f: InfiniteFrieze, n: int, index) -> FriezeMatrix:
+    """Symmetric n x n matrix with entry (i, j), i <= j, f[index(i, j)], read row
+    by row from the diagonal on: below it, a row only repeats earlier reads."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = f.entry(*index(i + 1, j + 1))
+    return FriezeMatrix(grid)
+
+
 def extract_m_plus(f: InfiniteFrieze, k: int, n: int) -> FriezeMatrix:
     """n x n matrix whose lower triangle is the cone of f[k, k+n-1].
 
     Entry (i, j) with j <= i is f[k+j-1, k+i-1]; the upper triangle is the
     symmetric extension.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    grid = [
-        [
-            f.entry(k + min(i, j) - 1, k + max(i, j) - 1)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return FriezeMatrix(grid)
+    return _extract(f, n, lambda lo, hi: (k + lo - 1, k + hi - 1))
 
 
 def extract_m_minus(f: InfiniteFrieze, k: int, n: int) -> FriezeMatrix:
@@ -153,16 +156,7 @@ def extract_m_minus(f: InfiniteFrieze, k: int, n: int) -> FriezeMatrix:
 
     Entry (i, j) with i <= j is f[k-j+2, k-i+2].
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    grid = [
-        [
-            f.entry(k - max(i, j) + 2, k - min(i, j) + 2)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return FriezeMatrix(grid)
+    return _extract(f, n, lambda lo, hi: (k - hi + 2, k - lo + 2))
 
 
 def detect_period(

@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import ZeroEntryError
 from .field import _ZERO, FieldDescriptor, FieldElement, _join, format_element
@@ -151,7 +150,7 @@ class FriezeMatrix:
         return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"FriezeMatrix(n={self.n}, field={self.field})"
+        return f"{type(self).__name__}(n={self.n}, field={self.field})"
 
 
 @dataclass(frozen=True)
@@ -383,8 +382,7 @@ def check_ptolemy(
     return ValidationReport(tuple(out))
 
 
-@dataclass(frozen=True)
-class TriangularMatrix:
+class TriangularMatrix(FriezeMatrix):
     """Upper triangular companion of a frieze matrix.
 
     Rows 1 and 2 are rows 2 and 1 of the source; below them
@@ -392,23 +390,10 @@ class TriangularMatrix:
     Its determinant is minus that of the source matrix.
     """
 
-    rows: tuple[tuple[FieldElement, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def field(self) -> FieldDescriptor:
-        return _common_field(e for r in self.rows for e in r)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"entry ({i},{j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
+    __slots__ = ()
 
     def diagonal(self) -> tuple[FieldElement, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
+        return tuple(self._rows[i][i] for i in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -443,7 +428,7 @@ def _t_closed_form(m: FriezeMatrix) -> TriangularMatrix:
             tuple(zero for _ in range(i - 1))
             + tuple(coeff * m.entry(1, j) for j in range(i, n + 1))
         )
-    return TriangularMatrix(tuple(rows))
+    return TriangularMatrix(rows)
 
 
 def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
@@ -535,12 +520,12 @@ def det_closed_form(m: FriezeMatrix) -> FieldElement:
     return -(m.field.from_int(-2) ** (n - 2)) * acc
 
 
-def _as_grid(m) -> list[list[FieldElement]]:
-    if isinstance(m, FriezeMatrix):
-        return [list(r) for r in m.rows()]
-    if isinstance(m, TriangularMatrix):
-        return [list(r) for r in m.rows]
-    return [list(r) for r in m]
+def _square_grid(m) -> tuple[list[list[FieldElement]], FieldDescriptor]:
+    """The rows of a matrix or a plain grid, as lists, and their common field."""
+    a = [list(r) for r in (m.rows() if isinstance(m, FriezeMatrix) else m)]
+    if any(len(r) != len(a) for r in a):
+        raise ValueError("matrix must be square")
+    return a, _common_field(e for r in a for e in r)
 
 
 _INEXACT = "Bareiss division left a remainder; the elimination kernel is wrong"
@@ -559,11 +544,8 @@ def det_elimination(m) -> FieldElement:
     checks its remainder.  Row swaps are tracked and a fully zero pivot
     column short-circuits to zero.
     """
-    a = _as_grid(m)
+    a, fd = _square_grid(m)
     n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    fd = _common_field(e for r in a for e in r)
     d = fd.d
     scale = 1
     g = []
@@ -619,11 +601,8 @@ def det_elimination(m) -> FieldElement:
 
 def det_cofactor(m) -> FieldElement:
     """Exact determinant by first-row cofactor expansion (small n only)."""
-    a = _as_grid(m)
+    a, fd = _square_grid(m)
     n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    fd = _common_field(e for r in a for e in r)
 
     def expand(rows, cols):
         if len(cols) == 1:
@@ -677,7 +656,7 @@ def check_t_properties(t: TriangularMatrix, m: FriezeMatrix) -> ValidationReport
     zero = m.field.zero
     two = m.field.from_int(2)
     # Row n + 1 holds -2*m[i,i+1] at column i - 1, so (b) is a 2x2 determinant too.
-    rows = t.rows + (tuple(-2 * m.entry(i, i + 1) for i in range(2, n)),)
+    rows = t.rows() + (tuple(-2 * m.entry(i, i + 1) for i in range(2, n)),)
     d = _common_field(e for r in rows for e in r).d
     _, g = _common_lattice(rows, d)
     z = 0 if d is None else (0, 0)

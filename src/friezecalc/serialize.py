@@ -27,12 +27,7 @@ from .field import (
     parse_element,
 )
 from .frieze import FriezeSeeds, SeedRow
-from .matrix import (
-    FriezeMatrix,
-    TriangularMatrix,
-    ValidationReport,
-    Violation,
-)
+from .matrix import FriezeMatrix, ValidationReport, Violation
 
 __all__ = [
     "field_from_json",
@@ -43,7 +38,6 @@ __all__ = [
     "render_frieze_grid",
     "render_matrix_grid",
     "report_to_json",
-    "triangular_to_json",
     "triangulation_to_json",
     "two_row_from_json",
     "two_row_to_json",
@@ -92,14 +86,6 @@ def matrix_to_json(m: FriezeMatrix) -> dict[str, Any]:
     }
 
 
-def triangular_to_json(t: TriangularMatrix) -> dict[str, Any]:
-    return {
-        "field": field_to_json(t.field),
-        "n": t.n,
-        "entries": [[format_element(e) for e in row] for row in t.rows],
-    }
-
-
 def matrix_from_json(obj: Any) -> FriezeMatrix:
     if not isinstance(obj, dict):
         raise ValueError("matrix document must be an object")
@@ -138,26 +124,21 @@ def _seed_row_from_json(obj: Any, fd: FieldDescriptor, name: str) -> SeedRow:
     raise ValueError(f'seed row "{name}" must carry "cycle" or "table"')
 
 
-def frieze_seeds_from_json(obj: Any) -> FriezeSeeds:
+def _seed_pair_from_json(obj: Any, names: tuple[str, str]):
+    """The field and the two seed rows ``names`` of a seed document."""
     if not isinstance(obj, dict):
         raise ValueError("seed document must be an object")
     fd = field_from_json(obj.get("field", {"kind": "rational"}))
-    return FriezeSeeds(
-        _seed_row_from_json(obj.get("x"), fd, "x"),
-        _seed_row_from_json(obj.get("y"), fd, "y"),
-        fd,
-    )
+    first, second = (_seed_row_from_json(obj.get(name), fd, name) for name in names)
+    return first, second, fd
+
+
+def frieze_seeds_from_json(obj: Any) -> FriezeSeeds:
+    return FriezeSeeds(*_seed_pair_from_json(obj, ("x", "y")))
 
 
 def zero_seeds_from_json(obj: Any) -> tuple[SeedRow, SeedRow, FieldDescriptor]:
-    if not isinstance(obj, dict):
-        raise ValueError("seed document must be an object")
-    fd = field_from_json(obj.get("field", {"kind": "rational"}))
-    return (
-        _seed_row_from_json(obj.get("u"), fd, "u"),
-        _seed_row_from_json(obj.get("v"), fd, "v"),
-        fd,
-    )
+    return _seed_pair_from_json(obj, ("u", "v"))
 
 
 def two_row_to_json(x: TwoRowMatrix) -> dict[str, Any]:
@@ -216,9 +197,8 @@ def render_frieze_grid(rows: list[list[FieldElement]]) -> str:
     )
 
 
-def render_matrix_grid(m: FriezeMatrix | TriangularMatrix) -> str:
+def render_matrix_grid(m: FriezeMatrix) -> str:
     """Aligned whitespace-separated table of compact entry strings."""
-    rows = m.rows() if isinstance(m, FriezeMatrix) else m.rows
-    cells = [[format_element(e, compact=True) for e in row] for row in rows]
+    cells = [[format_element(e, compact=True) for e in row] for row in m.rows()]
     width = max(len(s) for row in cells for s in row)
     return "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)

@@ -7,6 +7,7 @@ one PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s``.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -46,6 +47,7 @@ from friezecalc.generators import (
     random_triangulation,
     random_two_row_matrix,
 )
+from friezecalc.matrix import _FriezeRows
 from friezecalc.serialize import matrix_from_json, zero_seeds_from_json
 
 from conftest import Q5, load_fixture, rat
@@ -253,3 +255,52 @@ def test_criterion_11_outside_oracle():
             det = det_elimination(m)
             assert det == det_closed_form(m)
             assert _sympy_value(sympy, det) == _sympy_det(sympy, m)
+
+
+class _Generic:
+    """An element of a sympy field of fractions, with the operations and the
+    ``is_zero`` test that the frieze-row engine asks of a field element."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, other):
+        return _Generic(self.v * other.v)
+
+    def __sub__(self, other):
+        return _Generic(self.v - other.v)
+
+    def __truediv__(self, other):
+        return _Generic(self.v / other.v)
+
+    @property
+    def is_zero(self):
+        return not self.v
+
+
+def test_criterion_12_generic_identities():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    with criterion(12, "generic frieze matrices, n = 3..8: the determinant and Laurent identities"):
+        for n in range(3, 9):
+            field = sympy.QQ.frac_field(*sympy.symbols(f"x1:{n} y1:{n - 1}"))
+            x, y = field.gens[: n - 1], field.gens[n - 1:]
+            # The package's own row-rule engine, run on indeterminate seeds.
+            rows = _FriezeRows(
+                lambda i: _Generic(x[i - 1]), lambda i: _Generic(y[i - 1]), "zero at ({i},{j})"
+            )
+
+            def m(i, j):
+                return field.zero if i == j else rows.get(min(i, j), max(i, j)).v
+
+            for i in range(1, n):
+                for j in range(i + 1, n):
+                    diamond = m(i, j) * m(i + 1, j + 1) - m(i + 1, j) * m(i, j + 1)
+                    assert diamond == x[i - 1] * x[j - 1]
+            grid = [[m(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+            det = DomainMatrix(grid, (n, n), field).det()
+            assert det == -((-2) ** (n - 2)) * m(1, n) * math.prod(x)
+            assert m(1, n).denom == math.prod(x[1: n - 2], start=field.one).numer

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friezecalc import (
     RATIONAL,
@@ -61,6 +63,32 @@ class TestTriangulation:
             k = rng.randint(3, 12)
             q = quiddity_from_triangulation(random_triangulation(rng, k))
             assert sum(q.a) == 3 * (k - 2)
+
+
+def reference_quiddity(t):
+    """a_i as the number of triangles at vertex i, the triangles found as the
+    3-cliques of sides plus diagonals: the count that the diagonal count
+    replaced."""
+    edges = set(t.diagonals) | {(i, i + 1) for i in range(1, t.k)} | {(1, t.k)}
+    triangles = [
+        (p, q, s)
+        for p, q in sorted(edges)
+        for s in range(q + 1, t.k + 1)
+        if (p, s) in edges and (q, s) in edges
+    ]
+    assert len(triangles) == t.k - 2
+    counts = [0] * t.k
+    for tri in triangles:
+        for v in tri:
+            counts[v - 1] += 1
+    return tuple(counts)
+
+
+@given(st.integers(3, 60), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_quiddity_matches_triangle_count(k, rng):
+    t = random_triangulation(rng, k)
+    assert quiddity_from_triangulation(t).a == reference_quiddity(t)
 
 
 class TestCcMatrix:

@@ -21,6 +21,11 @@ ZERO_EXAMPLE = str(FIXTURES / "zerofrieze_example_seeds.json")
 TWO_ROW = str(FIXTURES / "two_row_123_456.json")
 
 
+def _ones_matrix(n):
+    """An n x n matrix document: 0 on the diagonal, 1 elsewhere."""
+    return {"n": n, "entries": [["0" if i == j else "1" for j in range(n)] for i in range(n)]}
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -310,6 +315,26 @@ class TestCcAndBm:
         code, out = run_json(capsys, ["bm", "check", "--matrix", str(doc)])
         assert code == 1 and not out["ok"]
 
+    @pytest.mark.parametrize(
+        "argv, rows, keys",
+        [
+            (["cc", "check", "--quiddity", "1,2,1,2"], None,
+             ["quiddity", "k", "det", "det_oracle", "expected", "ok"]),
+            (["cc", "check", "--quiddity", "2,2,2"], None, ["quiddity", "ok", "error"]),
+            (["bm", "check", "--matrix"], [["1", "2", "3"], ["4", "5", "6"]],
+             ["n", "rows", "det", "det_oracle", "expected", "ok"]),
+            (["bm", "check", "--matrix"], [["1", "2", "2"], ["2", "4", "1"]], ["n", "ok", "error"]),
+        ],
+        ids=["cc", "cc-error", "bm", "bm-error"],
+    )
+    def test_report_keys_in_order(self, capsys, tmp_path, argv, rows, keys):
+        if rows is not None:
+            doc = tmp_path / "two_row.json"
+            doc.write_text(json.dumps({"rows": rows}))
+            argv = [*argv, str(doc)]
+        _, out = run_json(capsys, argv)
+        assert list(out) == keys
+
 
 class TestBadInputExits2:
     def test_bm_random_without_a_valid_draw(self, capsys):
@@ -436,3 +461,59 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert "nested too deeply" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["validate", "DOC"], _ones_matrix(25), "matrix size n must be at most 24, got 25"),
+            (["det", "DOC", "--method", "eliminate"], _ones_matrix(80),
+             "matrix size n must be at most 24, got 80"),
+            (["bm", "check", "--matrix", "DOC"],
+             {"rows": [[str(v) for v in range(1, 42)], ["1"] * 41]},
+             "two-row size n must be at most 40, got 41"),
+        ],
+        ids=["matrix-n", "matrix-n-det", "two-row-n"],
+    )
+    def test_document_sizes_above_cap(self, capsys, tmp_path, argv, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run([str(path) if a == "DOC" else a for a in argv]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cc", "random", "--k", "200", "--count", "1000"],
+             "count * (k + 12)^3 must be at most 19056256, got 9528128000"),
+            (["cc", "random", "--k", "200", "--count", "3"],
+             "count * (k + 12)^3 must be at most 19056256, got 28584384"),
+            (["bm", "random", "--n", "20", "--count", "1000"],
+             "count * (n + 12)^3 must be at most 1638400, got 32768000"),
+            (["bm", "random", "--n", "20", "--count", "51"],
+             "count * (n + 12)^3 must be at most 1638400, got 1671168"),
+        ],
+        ids=["cc-caps", "cc-over-budget", "bm-caps", "bm-over-budget"],
+    )
+    def test_random_work_above_cap(self, capsys, argv, message):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["det", "DOC", "--method", "eliminate"], _ones_matrix(24)),
+            (["bm", "check", "--matrix", "DOC"],
+             {"rows": [[str(v) for v in range(1, 41)], ["1"] * 40]}),
+        ],
+        ids=["matrix-n", "two-row-n"],
+    )
+    def test_document_sizes_at_cap(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run([str(path) if a == "DOC" else a for a in argv]) == 0

@@ -209,6 +209,38 @@ class TestExtract:
                 assert m.entry(i, j) == cone[(k + j - 1, k + i - 1)]
 
 
+def reference_extract(f, k, n, sign):
+    """M+(k,n) or M-(k,n) read entry by entry over both triangles, row by row:
+    the two extractors that the shared body replaced."""
+    if sign == "plus":
+        return [
+            [f.entry(k + min(i, j) - 1, k + max(i, j) - 1) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+    return [
+        [f.entry(k - max(i, j) + 2, k - min(i, j) + 2) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(), seed_fields, st.integers(-4, 6), st.integers(2, 7), st.sampled_from(["plus", "minus"])
+)
+def test_extract_matches_reference(data, fd, k, n, sign):
+    """Equal entries, or the same first failing read (a window or a zero entry)."""
+    seeds = FriezeSeeds(data.draw(seed_rows(fd)), data.draw(seed_rows(fd)), fd)
+    extract = extract_m_plus if sign == "plus" else extract_m_minus
+
+    def extracted(k, n):
+        return extract(InfiniteFrieze(seeds), k, n).rows()
+
+    def reference(k, n):
+        return tuple(map(tuple, reference_extract(InfiniteFrieze(seeds), k, n, sign)))
+
+    assert outcome(extracted, k, n) == outcome(reference, k, n)
+
+
 class TestPeriod:
     def test_constant_is_one_periodic(self):
         assert detect_period(const_frieze(), 4, 5) == 1

@@ -30,13 +30,13 @@ from friezecalc import (
 )
 from friezecalc.generators import random_frieze_matrix
 from friezecalc.matrix import _elimination_trace
+from friezecalc.serialize import field_to_json, matrix_to_json
 
 from conftest import el5, rat
 
 
 def grid_of(m) -> list[list[str]]:
-    rows = m.rows() if isinstance(m, FriezeMatrix) else m.rows
-    return [[str(e) for e in row] for row in rows]
+    return [[str(e) for e in row] for row in m.rows()]
 
 
 class TestBuildFromSeeds:
@@ -276,7 +276,7 @@ def assert_trace_valid(m):
                 assert stage[i - 1][j - 1] == expected_stage_entry(m, k, i, j), (
                     f"stage {k} mismatch at ({i},{j})"
                 )
-    assert trace.matrices[-1] == t.rows
+    assert trace.matrices[-1] == t.rows()
     det_m = det_elimination(m)
     for stage in trace.matrices:
         assert det_elimination(stage) == -det_m
@@ -298,8 +298,20 @@ class TestTriangulate:
     def test_first_two_rows_swapped(self, exm_corrected):
         t, _ = triangulate(exm_corrected)
         m = exm_corrected
-        assert t.rows[0] == tuple(m.entry(2, j) for j in range(1, 7))
-        assert t.rows[1] == tuple(m.entry(1, j) for j in range(1, 7))
+        assert t.rows()[0] == tuple(m.entry(2, j) for j in range(1, 7))
+        assert t.rows()[1] == tuple(m.entry(1, j) for j in range(1, 7))
+
+    def test_json_keeps_the_triangular_shape(self, exm_corrected, const23):
+        for m in (const23, exm_corrected):
+            t, _ = triangulate(m)
+            # The shape of the former triangular_to_json, written out.
+            expected = {
+                "field": field_to_json(t.field),
+                "n": t.n,
+                "entries": [[format_element(e) for e in row] for row in t.rows()],
+            }
+            assert matrix_to_json(t) == expected
+        assert expected["field"] == {"kind": "quadratic", "d": 5}
 
     def test_trace_matches_stage_oracle(self, exm_corrected, const23):
         assert_trace_valid(exm_corrected)
@@ -485,7 +497,7 @@ class TestTProperties:
 
     def test_perturbed_t_reports_zero_diamond(self, const23):
         t, _ = triangulate(const23)
-        rows = [list(r) for r in t.rows]
+        rows = [list(r) for r in t.rows()]
         rows[2][4] = rows[2][4] + rat(1)
         report = check_t_properties(TriangularMatrix(tuple(tuple(r) for r in rows)), const23)
         assert not report.ok
@@ -493,7 +505,7 @@ class TestTProperties:
 
     def test_sqrt_part_in_the_t_of_a_rational_matrix(self, const23):
         t, _ = triangulate(const23)
-        rows = [list(r) for r in t.rows]
+        rows = [list(r) for r in t.rows()]
         rows[2][4] = rows[2][4] + FieldDescriptor(5).element(0, 1)
         t = TriangularMatrix(tuple(tuple(r) for r in rows))
         report = check_t_properties(t, const23)
@@ -527,7 +539,7 @@ def test_t_properties_match_reference(m, data):
         t, _ = triangulate(m)
     except ZeroDivisionError:
         assume(False)
-    rows = [list(r) for r in t.rows]
+    rows = [list(r) for r in t.rows()]
     i, j = data.draw(st.integers(0, m.n - 1)), data.draw(st.integers(0, m.n - 1))
     change = data.draw(st.sampled_from(["none", "add", "replace"]))
     if change == "add":
