@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderViolationError, ZeroMinorError
-from .field import RATIONAL, FieldDescriptor, FieldElement
+from .field import RATIONAL, FieldDescriptor, FieldElement, _join
 from .matrix import (
     FriezeMatrix,
     SeedData,
@@ -182,14 +182,14 @@ def delta_minor_matrix(x: TwoRowMatrix) -> FriezeMatrix:
     raises :class:`ZeroMinorError` with the offending column pair.
     """
     n = x.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if x.minor(i, j).is_zero:
-                raise ZeroMinorError(i, j)
-    grid = [
-        [x.minor(min(i, j), max(i, j)) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        # D_ii = a_i*b_i - a_i*b_i = 0, in the field of column i.
+        grid[i][i] = _join(x.top[i].field, x.bottom[i].field).zero
+        for j in range(i + 1, n):
+            minor = grid[i][j] = grid[j][i] = x.minor(i + 1, j + 1)
+            if minor.is_zero:
+                raise ZeroMinorError(i + 1, j + 1)
     return FriezeMatrix(grid)
 
 
@@ -197,8 +197,8 @@ def baur_marsh_det_check(x: TwoRowMatrix) -> DetCheckReport:
     """Both determinant routes against -(-2)^(n-2)*D_{1n}*prod(D_{i,i+1})."""
     a = delta_minor_matrix(x)
     n = x.n
-    acc = x.minor(1, n)
+    acc = a.entry(1, n)
     for i in range(1, n):
-        acc = acc * x.minor(i, i + 1)
+        acc = acc * a.entry(i, i + 1)
     expected = -(x.field.from_int(-2) ** (n - 2)) * acc
     return DetCheckReport(det_closed_form(a), det_elimination(a), expected)

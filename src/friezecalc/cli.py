@@ -131,10 +131,14 @@ def _cmd_triangulate(args) -> _Result:
     out: dict[str, Any] = {"t": serialize.matrix_to_json(t)}
     ok = True
     if trace is not None:
+        # Stages share most element objects and the trace keeps each alive,
+        # so an id names one element: format each once (the text is never "").
+        text: dict[int, str] = {}
         out["trace"] = {
             "steps": list(trace.steps),
             "matrices": [
-                [[format_element(e) for e in row] for row in stage]
+                [[text.get(id(e)) or text.setdefault(id(e), format_element(e)) for e in row]
+                 for row in stage]
                 for stage in trace.matrices
             ],
         }

@@ -73,6 +73,27 @@ class FieldDescriptor:
     def element(self, a, b=0) -> "FieldElement":
         return FieldElement(a, b, self)
 
+    def lattice(self, rows) -> tuple[int, list[list]]:
+        """``(den, rows of den * entries)`` for the lcm ``den`` of every
+        coefficient denominator of ``rows``: ints over Q, pairs
+        (p, q) = p + q*sqrt(d) over Q(sqrt(d))."""
+        den = math.lcm(*(c.denominator for r in rows for e in r for c in (e.a, e.b)))
+        if self.d is None:
+            return den, [[e.a.numerator * (den // e.a.denominator) for e in r] for r in rows]
+        return den, [
+            [(e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
+             for e in r]
+            for r in rows
+        ]
+
+    def from_lattice(self, v, den: int) -> "FieldElement":
+        """The element v / den of a lattice value v: an int over Q, a pair
+        (p, q) = p + q*sqrt(d) over Q(sqrt(d)); ``den`` is a nonzero int."""
+        p, q = (v, 0) if self.d is None else v
+        return FieldElement(
+            Fraction(p, den) if p else _ZERO, Fraction(q, den) if q else _ZERO, self
+        )
+
     def from_int(self, n: int) -> "FieldElement":
         return FieldElement(n, _ZERO, self)
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ZeroEntryError
-from .field import _ZERO, FieldDescriptor, FieldElement, _join, format_element
+from .field import FieldDescriptor, FieldElement, _join, format_element
 
 __all__ = [
     "EliminationTrace",
@@ -81,29 +80,6 @@ def _common_field(entries) -> FieldDescriptor:
     if fd is None:
         raise ValueError("matrix has no entries")
     return fd
-
-
-def _denominator(entries) -> int:
-    """The lcm of the denominators of every coefficient of ``entries``."""
-    return math.lcm(*(c.denominator for e in entries for c in (e.a, e.b)))
-
-
-def _lattice(entries, den: int, d: int | None) -> list:
-    """``den`` times each entry, where ``den`` clears every denominator:
-    ints over Q (d is None), pairs (p, q) = p + q*sqrt(d) over Q(sqrt(d))."""
-    if d is None:
-        return [e.a.numerator * (den // e.a.denominator) for e in entries]
-    return [
-        (e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
-        for e in entries
-    ]
-
-
-def _common_lattice(rows, d: int | None) -> tuple[int, list[list]]:
-    """``(den, rows of den * entries)`` for the lcm ``den`` of every
-    coefficient denominator of ``rows``, as :func:`_lattice` holds them."""
-    den = _denominator(e for r in rows for e in r)
-    return den, [_lattice(r, den, d) for r in rows]
 
 
 def _det2(a, b, c, e, d: int | None):
@@ -190,7 +166,26 @@ class _FriezeRows:
 
     and divide by the nonzero e(i+1,j-1) to get L at (i, j).  A cell thus
     reads only its own row, and its step factors y(j-2)/x(j-2), x(j-1)/x(j-2)
-    depend on its column alone: kept per column, they leave a cell no division.
+    depend on its column alone.
+
+    Cells are held fraction-free, as e(i,j) = N(i,j)/M(i,j) with N an int
+    over Q or a pair (p, q) = p + q*sqrt(d) over Q(sqrt(d)), and M a positive
+    int.  Column j's step factors are cleared once, to A_j/S_j and B_j/S_j
+    with S_j the lcm of their denominators; row i's seeds x(i), y(i) are
+    cleared over one M(i,i+1) = M(i,i+2).  With M(i,j) = M(i,j-1)*S_j for
+    j - i >= 3, M(i,j-1) = k_j*M(i,j-2) where k_j = 1 at j - i = 3 and
+    k_j = S_{j-1} below, so L reads
+
+        e(i,j) = N(i,j-1)/M(i,j-1) * A_j/S_j - N(i,j-2)/M(i,j-2) * B_j/S_j
+               = (N(i,j-1)*A_j - N(i,j-2)*(k_j*B_j)) / M(i,j):
+
+    N(i,j) is that numerator, exact in Z or Z[sqrt(d)], and e(i,j) = 0
+    exactly when N(i,j) = 0.  A cell takes no gcd, no division and no field
+    element; :meth:`get` builds the element N/M, in lowest terms, when it
+    returns one.  A cell also keeps the field that L on field elements would
+    give it, the join of the fields it is computed from, and holds N in that
+    field (an int meeting a pair is read as the pair (v, 0)).  Of a field the
+    engine asks only ``d``, ``lattice`` and ``from_lattice``.
 
     Each computed row d = j - i is stored as one run of consecutive columns
     i; a request whose columns are disjoint from a stored run replaces it.  A
@@ -198,36 +193,37 @@ class _FriezeRows:
     A cell reads e(i,j-1), y(j-2), e(i,j-2), x(j-1), x(j-2), in row d = 3
     y(i), y(i+1), x(i), x(i+2), x(i+1) as the diamond rule did; once its
     column has factors it skips the seed reads, which succeeded then and are
-    pure, so values and raised errors never depend on earlier requests.  A
+    pure, so values and raised errors never depend on earlier requests.  For
+    the same reason row d = 4 takes y(i) as cleared in row d = 3.  A
     computed zero raises :class:`ZeroEntryError` with
     ``zero_message.format(i=i, j=j)``.
     """
 
-    __slots__ = ("_x", "_y", "_zero_message", "_starts", "_runs", "_steps")
+    __slots__ = ("_x", "_y", "_zero_message", "_starts", "_runs", "_steps", "_seeds")
 
     def __init__(self, x, y, zero_message: str):
         self._x = x
         self._y = y
         self._zero_message = zero_message
-        # Row d = 3 + r holds e(i, i+d) for i in [_starts[r], _starts[r] + len(_runs[r])).
+        # Row d = 3 + r holds (N, M, field) of e(i, i+d) for i in
+        # [_starts[r], _starts[r] + len(_runs[r])).
         self._starts: list[int] = []
-        self._runs: list[list[FieldElement]] = []
-        # Column j -> (y(j-2)/x(j-2), x(j-1)/x(j-2)).
-        self._steps: dict[int, tuple[FieldElement, FieldElement]] = {}
+        self._runs: list[list[tuple]] = []
+        # Column j -> (A_j, B_j, S_j, field).
+        self._steps: dict[int, tuple] = {}
+        # i -> (N, M, field) of y(i), over the M of its row.
+        self._seeds: dict[int, tuple] = {}
 
     def get(self, i: int, j: int) -> FieldElement:
         """e(i, j) for j - i >= 1."""
         r = j - i - 3
         if r < 0:
             return self._x(i) if r == -2 else self._y(i)
-        if r < len(self._runs):
-            off = i - self._starts[r]
-            run = self._runs[r]
-            if 0 <= off < len(run):
-                return run[off]
-        for t in range(r + 1):
-            self._cover(t, i, i + r - t + 1)
-        return self._runs[r][i - self._starts[r]]
+        if r >= len(self._runs) or not 0 <= i - self._starts[r] < len(self._runs[r]):
+            for t in range(r + 1):
+                self._cover(t, i, i + r - t + 1)
+        v, den, fd = self._runs[r][i - self._starts[r]]
+        return fd.from_lattice(v, den)
 
     def _cover(self, r: int, lo: int, hi: int) -> None:
         """Make row r hold columns [lo, hi), computing the missing ones in order."""
@@ -247,26 +243,47 @@ class _FriezeRows:
 
     def _row(self, r: int):
         if r < 0:
-            return self._x if r == -2 else self._y
+            return self._seeds.__getitem__
         start, run = self._starts[r], self._runs[r]
         return lambda i: run[i - start]
 
-    def _cells(self, r: int, lo: int, hi: int) -> list[FieldElement]:
-        up, up2, x, y = self._row(r - 1), self._row(r - 2), self._x, self._y
-        steps = self._steps
+    def _cells(self, r: int, lo: int, hi: int) -> list[tuple]:
+        # Row d = 3 reads the seeds y(i), x(i) as elements and clears them.
+        up, up2 = (self._y, self._x) if r == 0 else (self._row(r - 1), self._row(r - 2))
+        x, y, steps, seeds = self._x, self._y, self._steps, self._seeds
         out = []
         for i in range(lo, hi):
             j = i + r + 3
             step = steps.get(j)
             if step is None:
                 left, yj, right, xj, div = up(i), y(j - 2), up2(i), x(j - 1), x(j - 2)
-                step = steps[j] = (yj / div, xj / div)
+                s0, s1 = yj / div, xj / div
+                cf = _join(s0.field, s1.field)
+                den, [(a, b)] = cf.lattice([(s0, s1)])
+                step = steps[j] = (a, b, den, cf)
             else:
                 left, right = up(i), up2(i)
-            val = left * step[0] - right * step[1]
-            if val.is_zero:
+            a, b, s, cf = step
+            if r == 0:
+                lf = rf = _join(left.field, right.field)
+                lm, [(lv, rv)] = lf.lattice([(left, right)])
+                seeds[i] = (lv, lm, lf)
+            else:
+                (lv, lm, lf), (rv, _, rf) = left, right
+            fd = cf
+            if not (lf is rf is cf):
+                fd = _join(lf, cf)  # the field of e(i,j-2) is in that of e(i,j-1)
+                lv, rv, a, b = (
+                    v if f.d == fd.d else (v, 0) for v, f in ((lv, lf), (rv, rf), (a, cf), (b, cf))
+                )
+            d = fd.d
+            if r:
+                k = steps[j - 1][2]
+                b = b * k if d is None else (b[0] * k, b[1] * k)
+            v = _det2(lv, a, rv, b, d)
+            if not (v if d is None else v[0] or v[1]):
                 raise ZeroEntryError((i, j), self._zero_message.format(i=i, j=j))
-            out.append(val)
+            out.append((v, lm * s, fd))
         return out
 
 
@@ -310,7 +327,7 @@ def validate(m: FriezeMatrix) -> ValidationReport:
     zero = m.field.zero
     d = m.field.d
     rows = m.rows()
-    _, g = _common_lattice(rows, d)
+    _, g = m.field.lattice(rows)
     z = 0 if d is None else (0, 0)
     out: list[Violation] = []
     for i in range(n):
@@ -359,7 +376,7 @@ def check_ptolemy(
     else:
         quads = itertools.combinations_with_replacement(range(n), 4)
     d = m.field.d
-    _, g = _common_lattice(m.rows(), d)
+    _, g = m.field.lattice(m.rows())
     out = []
     for i, j, k, l in quads:
         gi, gj = g[i], g[j]
@@ -451,7 +468,7 @@ def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
     fd = m.field
     d = fd.d
     rows = m.rows()
-    den, g = _common_lattice(rows, d)
+    den, g = fd.lattice(rows)
     z = 0 if d is None else (0, 0)
     vecs, dens, elems = [g[1], g[0], *g[2:]], [den] * n, [rows[1], rows[0], *rows[2:]]
     mats, steps = [tuple(elems)], ["swap rows 1 and 2"]
@@ -487,10 +504,7 @@ def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
             vecs[i - 1], dens[i - 1] = new, dr
             row = list(elems[i - 1])
             for j in nz:
-                v0, v1 = (new[j], 0) if d is None else new[j]
-                row[j] = FieldElement(
-                    Fraction(v0, dr) if v0 else _ZERO, Fraction(v1, dr) if v1 else _ZERO, fd
-                )
+                row[j] = fd.from_lattice(new[j], dr)
             elems[i - 1] = tuple(row)
         steps.append("; ".join(ops) if ops else "no-op")
         mats.append(tuple(elems))
@@ -550,9 +564,9 @@ def det_elimination(m) -> FieldElement:
     scale = 1
     g = []
     for row in a:
-        den = _denominator(row)
+        den, [v] = fd.lattice([row])
         scale *= den
-        g.append(_lattice(row, den, d))
+        g.append(v)
     zero, prev = (0, 1) if d is None else ((0, 0), (1, 0))
     sign = 1
     for k in range(n - 1):
@@ -594,9 +608,7 @@ def det_elimination(m) -> FieldElement:
                         raise ArithmeticError(_INEXACT)
                     row[j] = (q0, q1)
         prev = p
-    det = g[n - 1][n - 1]
-    det0, det1 = (det, 0) if d is None else det
-    return fd.element(Fraction(sign * det0, scale), Fraction(sign * det1, scale))
+    return fd.from_lattice(g[n - 1][n - 1], sign * scale)
 
 
 def det_cofactor(m) -> FieldElement:
@@ -657,8 +669,9 @@ def check_t_properties(t: TriangularMatrix, m: FriezeMatrix) -> ValidationReport
     two = m.field.from_int(2)
     # Row n + 1 holds -2*m[i,i+1] at column i - 1, so (b) is a 2x2 determinant too.
     rows = t.rows() + (tuple(-2 * m.entry(i, i + 1) for i in range(2, n)),)
-    d = _common_field(e for r in rows for e in r).d
-    _, g = _common_lattice(rows, d)
+    fd = _common_field(e for r in rows for e in r)
+    d = fd.d
+    _, g = fd.lattice(rows)
     z = 0 if d is None else (0, 0)
     out = []
     for i in range(2, n):

@@ -89,12 +89,17 @@ def nonzero_elements(fd):
     return st.builds(fd.element, _small, b).filter(lambda e: not e.is_zero)
 
 
+def mixed_elements(fd):
+    """Nonzero elements of ``fd``, some of them held as elements of Q."""
+    return st.one_of(nonzero_elements(fd), nonzero_elements(RATIONAL))
+
+
 @st.composite
-def seed_rows(draw, fd):
+def seed_rows(draw, fd, elements=nonzero_elements):
     """A cycle of 1-3 values, or a table of 4-12 values starting near 0."""
     if draw(st.booleans()):
-        return SeedRow.cycle(draw(st.lists(nonzero_elements(fd), min_size=1, max_size=3)))
-    values = draw(st.lists(nonzero_elements(fd), min_size=4, max_size=12))
+        return SeedRow.cycle(draw(st.lists(elements(fd), min_size=1, max_size=3)))
+    values = draw(st.lists(elements(fd), min_size=4, max_size=12))
     return SeedRow.table(draw(st.integers(-6, 0)), values)
 
 

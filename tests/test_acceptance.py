@@ -257,27 +257,33 @@ def test_criterion_11_outside_oracle():
             assert _sympy_value(sympy, det) == _sympy_det(sympy, m)
 
 
+class _GenericField:
+    """The field of :class:`_Generic` elements, as the frieze-row engine asks
+    of it: with ``d`` None the engine's kernel is plain ``*`` and ``-``, and
+    an element's lattice value is the element itself, over denominator 1."""
+
+    d = None
+
+    def lattice(self, rows):
+        return 1, [[e.v for e in r] for r in rows]
+
+    def from_lattice(self, v, den):
+        return _Generic(v / den)
+
+
 class _Generic:
-    """An element of a sympy field of fractions, with the operations and the
-    ``is_zero`` test that the frieze-row engine asks of a field element."""
+    """An element of a sympy field of fractions, with the division and the
+    ``field`` that the frieze-row engine asks of a field element: it divides
+    the seeds into step factors and runs the row rule on their lattice values."""
 
     __slots__ = ("v",)
+    field = _GenericField()
 
     def __init__(self, v):
         self.v = v
 
-    def __mul__(self, other):
-        return _Generic(self.v * other.v)
-
-    def __sub__(self, other):
-        return _Generic(self.v - other.v)
-
     def __truediv__(self, other):
         return _Generic(self.v / other.v)
-
-    @property
-    def is_zero(self):
-        return not self.v
 
 
 def test_criterion_12_generic_identities():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,15 @@ from friezecalc import (
     cc_matrix,
     check_ptolemy,
     delta_minor_matrix,
+    det_closed_form,
+    det_elimination,
     quiddity_from_triangulation,
 )
+from friezecalc.classical import DetCheckReport
 from friezecalc.generators import random_triangulation, random_two_row_matrix
+from friezecalc.matrix import FriezeMatrix
 
-from conftest import rat
+from conftest import Q5, outcome, rat
 
 
 def ints(*vs):
@@ -202,3 +207,79 @@ class TestMinorDet:
         for _ in range(10):
             x = random_two_row_matrix(rng, rng.randint(3, 7))
             assert check_ptolemy(delta_minor_matrix(x)).ok
+
+
+def reference_delta_minor_matrix(x: TwoRowMatrix) -> FriezeMatrix:
+    """Reference: the minor matrix with every minor read anew, each
+    off-diagonal one for the zero check, then all n^2 for the grid."""
+    n = x.n
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if x.minor(i, j).is_zero:
+                raise ZeroMinorError(i, j)
+    return FriezeMatrix(
+        [[x.minor(min(i, j), max(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
+
+
+def reference_baur_marsh_det_check(x: TwoRowMatrix) -> DetCheckReport:
+    """Reference: the report, reading the expected value's minors from x anew."""
+    a = reference_delta_minor_matrix(x)
+    n = x.n
+    acc = x.minor(1, n)
+    for i in range(1, n):
+        acc = acc * x.minor(i, i + 1)
+    expected = -(x.field.from_int(-2) ** (n - 2)) * acc
+    return DetCheckReport(det_closed_form(a), det_elimination(a), expected)
+
+
+def with_fields(check):
+    """``check``, returning the entries of its matrix, or the three values of
+    its report, each with its field."""
+
+    def run(x, _):
+        out = check(x)
+        values = (
+            [e for r in out.rows() for e in r] if isinstance(out, FriezeMatrix)
+            else [out.det, out.det_oracle, out.expected]
+        )
+        return [(e, e.field) for e in values]
+
+    return run
+
+
+# Small coefficients make zero minors common; each entry is over Q or Q(sqrt 5).
+_coeff = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_entry = st.one_of(
+    st.builds(RATIONAL.element, _coeff),
+    st.builds(Q5.element, _coeff, st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2)])),
+)
+_two_rows = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(*[st.lists(_entry, min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_rows)
+def test_minors_match_the_triple_read_reference(rows):
+    x = TwoRowMatrix(*rows)
+    for check, reference in (
+        (delta_minor_matrix, reference_delta_minor_matrix),
+        (baur_marsh_det_check, reference_baur_marsh_det_check),
+    ):
+        assert outcome(with_fields(check), x, None) == outcome(with_fields(reference), x, None)
+
+
+def test_each_minor_is_computed_once(monkeypatch):
+    calls = []
+    minor = TwoRowMatrix.minor
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return minor(self, i, j)
+
+    monkeypatch.setattr(TwoRowMatrix, "minor", counted)
+    x = random_two_row_matrix(random.Random(20), 20)
+    calls.clear()
+    assert baur_marsh_det_check(x).ok
+    assert len(calls) <= 20 * 19 // 2

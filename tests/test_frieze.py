@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -27,14 +29,19 @@ from friezecalc import (
     extract_m_plus,
     validate,
 )
+from friezecalc import cli
+from friezecalc.field import FieldElement
 from friezecalc.matrix import SeedData
 from friezecalc.serialize import frieze_seeds_from_json
 
 from conftest import (
     FRIEZE_ZERO,
+    Q5,
     diamond_frieze_entry,
+    el5,
     entry_requests,
     load_fixture,
+    mixed_elements,
     nonzero_elements,
     outcome,
     pin_fields,
@@ -58,6 +65,16 @@ class CountingRow(SeedRow):
     def value(self, i):
         self.reads += 1
         return super().value(i)
+
+
+def with_field(entry):
+    """``entry``, returning each value with the field it is held in."""
+
+    def read(i, j):
+        value = entry(i, j)
+        return value, value.field
+
+    return read
 
 
 def const_frieze(xv=2, yv=3) -> InfiniteFrieze:
@@ -357,3 +374,66 @@ class TestEngine:
             )
 
         assert outcome(matrix, 1, n) == outcome(reference, 1, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), pin_fields, entry_requests)
+    def test_values_and_fields_match_diamond_rule(self, data, fd, requests):
+        # Seed values are held in fd or in Q, so neighbouring cells may be held
+        # in different fields; each must be held where the diamond rule's is.
+        x = data.draw(seed_rows(fd, mixed_elements))
+        y = data.draw(seed_rows(fd, mixed_elements))
+        f = InfiniteFrieze(FriezeSeeds(x, y, fd))
+        reference = partial(diamond_frieze_entry, x.value, y.value, FRIEZE_ZERO)
+        for i, d in requests:
+            if d:
+                expected = outcome(with_field(reference), i, i + d)
+                assert outcome(with_field(f.entry), i, i + d) == expected
+
+    def test_mixed_field_seeds(self):
+        # x over Q and y over Q(sqrt 5); then a y with one Q(sqrt 5) value in
+        # four, where a cell held in Q can sit beside one held in Q(sqrt 5).
+        x = SeedRow.cycle([rat(2), rat(Fraction(1, 3)), rat(5)])
+        for y in (
+            SeedRow.cycle([el5("3 + sqrt(5)"), el5("9/2")]),
+            SeedRow.cycle([rat(7), rat(3), rat(Fraction(9, 2)), el5("6 + 1/2*sqrt(5)")]),
+        ):
+            f = InfiniteFrieze(FriezeSeeds(x, y, Q5))
+            reference = partial(diamond_frieze_entry, x.value, y.value, FRIEZE_ZERO)
+            fields = set()
+            for i in range(-4, 4):
+                for j in range(i + 1, i + 11):
+                    value, field = with_field(f.entry)(i, j)
+                    assert (value, field) == with_field(reference)(i, j)
+                    fields.add(field)
+            assert Q5 in fields
+            m = build_from_seeds(
+                SeedData(tuple(map(x.value, range(1, 9))), tuple(map(y.value, range(1, 8))))
+            )
+            for i in range(1, 9):
+                for j in range(i + 1, 10):
+                    assert with_field(m.entry)(i, j) == with_field(reference)(i, j)
+        assert RATIONAL in fields
+
+    def test_window_does_field_operations_per_column(self, tmp_path, monkeypatch, capsys):
+        # Fractional Q(sqrt 5) cycles with y_i >= x_i + x_(i+1), so no entry is
+        # zero.  A 20 x 20 window reads 400 entries from under 40 columns: a
+        # column's two step factors take a few field operations, a cell none.
+        seeds = {
+            "field": {"kind": "quadratic", "d": 5},
+            "x": {"cycle": ["2", "1/2 + sqrt(5)", "3/2"]},
+            "y": {"cycle": ["9", "15/2 + sqrt(5)"]},
+        }
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(seeds))
+        counts = Counter()
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "inv"):
+
+            def counted(*args, _op=getattr(FieldElement, name), _name=name):
+                counts[_name] += 1
+                return _op(*args)
+
+            monkeypatch.setattr(FieldElement, name, counted)
+        argv = ["frieze", "gen", "--seeds", str(path), "--rows", "20", "--cols", "20"]
+        assert cli.run(argv) == 0
+        assert "sqrt(5)" in capsys.readouterr().out
+        assert 0 < sum(counts.values()) <= 10 * (20 + 20)
