@@ -37,7 +37,6 @@ from .field import (
     parse_element,
 )
 from .frieze import (
-    ConeSpec,
     FriezeSeeds,
     InfiniteFrieze,
     SeedRow,
@@ -57,7 +56,6 @@ from .matrix import (
     check_ptolemy,
     check_t_properties,
     det_closed_form,
-    det_cofactor,
     det_elimination,
     reconstruct_entry,
     triangulate,

@@ -54,10 +54,6 @@ class QuiddityData:
     def k(self) -> int:
         return len(self.a)
 
-    def rotated(self, shift: int = 1) -> "QuiddityData":
-        s = shift % self.k
-        return QuiddityData(self.a[s:] + self.a[:s])
-
 
 def _crossing(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
     p, q = d1
@@ -128,7 +124,15 @@ def cc_matrix(q: QuiddityData) -> FriezeMatrix:
 
 @dataclass(frozen=True)
 class DetCheckReport:
-    """Closed-form determinant, elimination oracle, and the expected value."""
+    """Closed-form determinant, elimination oracle, and the expected value.
+
+    ``expected`` restates the theorem; it is not a third route.  For ``cc``
+    it is -(-2)^(k-2), the closed form -(-2)^(k-2)*m[1,k]*prod(x_i) with
+    x = 1 and the m[1,k] = 1 that :func:`cc_matrix` has already asserted;
+    for ``bm`` it is the expression :func:`det_closed_form` evaluates on the
+    minor matrix.  So ``det == expected`` cannot fail, and the check is
+    ``det == det_oracle``: the closed form against Bareiss elimination.
+    """
 
     det: FieldElement
     det_oracle: FieldElement

@@ -16,14 +16,13 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Any
 
 from . import classical, generators, serialize, zerofrieze
 from .errors import FriezeError
 from .field import format_element
 from .frieze import (
-    ConeSpec,
     InfiniteFrieze,
     cone_entries,
     detect_period,
@@ -193,7 +192,7 @@ def _cmd_frieze_gen(args) -> _Result:
 def _cmd_frieze_cone(args) -> _Result:
     _at_most("cone extent j - i", args.j - args.i, MAX_EXTENT)
     f = _load_frieze(args.seeds)
-    entries = cone_entries(f, ConeSpec(args.i, args.j))
+    entries = cone_entries(f, args.i, args.j)
     out = {
         "i": args.i,
         "j": args.j,
@@ -444,7 +443,10 @@ _COMMANDS: dict[str, tuple[Any, str, str]] = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built once per process: parsing
+    leaves it unchanged, so every :func:`run` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="friezecalc",
         description="Exact frieze-matrix calculator and identity checker.",
@@ -469,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -488,8 +489,7 @@ def run(argv: list[str]) -> int:
     if isinstance(out, str):
         print(out)
     else:
-        json.dump(out, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(out, indent=2) + "\n")
     if note is not None:
         print(note, file=sys.stderr)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

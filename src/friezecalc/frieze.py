@@ -21,7 +21,6 @@ from .field import FieldDescriptor, FieldElement
 from .matrix import FriezeMatrix, _FriezeRows
 
 __all__ = [
-    "ConeSpec",
     "FriezeSeeds",
     "InfiniteFrieze",
     "SeedRow",
@@ -74,18 +73,6 @@ class FriezeSeeds:
     field: FieldDescriptor
 
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """The cone of the entry (i, j): all f[x,y] with i <= x <= y <= j."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.j < self.i:
-            raise ValueError("cone needs j >= i")
-
-
 class InfiniteFrieze:
     """Evaluator for the entries f[i,j] of a frieze.
 
@@ -120,14 +107,13 @@ class InfiniteFrieze:
 
 
 def cone_entries(
-    f: InfiniteFrieze, spec: ConeSpec
+    f: InfiniteFrieze, i: int, j: int
 ) -> list[tuple[tuple[int, int], FieldElement]]:
-    """All entries of the cone, row-major by x then y."""
-    return [
-        ((a, b), f.entry(a, b))
-        for a in range(spec.i, spec.j + 1)
-        for b in range(a, spec.j + 1)
-    ]
+    """The cone of the entry (i, j), all f[x,y] with i <= x <= y <= j,
+    row-major by x then y."""
+    if j < i:
+        raise ValueError("cone needs j >= i")
+    return [((a, b), f.entry(a, b)) for a in range(i, j + 1) for b in range(a, j + 1)]
 
 
 def _extract(f: InfiniteFrieze, n: int, index) -> FriezeMatrix:

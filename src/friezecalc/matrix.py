@@ -31,7 +31,6 @@ __all__ = [
     "check_ptolemy",
     "check_t_properties",
     "det_closed_form",
-    "det_cofactor",
     "det_elimination",
     "reconstruct_entry",
     "triangulate",
@@ -219,10 +218,15 @@ class _FriezeRows:
         r = j - i - 3
         if r < 0:
             return self._x(i) if r == -2 else self._y(i)
-        if r >= len(self._runs) or not 0 <= i - self._starts[r] < len(self._runs[r]):
+        starts, runs = self._starts, self._runs
+        if r >= len(runs) or not 0 <= i - starts[r] < len(runs[r]):
+            # Row t of the cone needs columns [i, i + r - t + 1); most rows
+            # already hold them.
             for t in range(r + 1):
-                self._cover(t, i, i + r - t + 1)
-        v, den, fd = self._runs[r][i - self._starts[r]]
+                hi = i + r - t + 1
+                if t == len(runs) or not starts[t] <= i < hi <= starts[t] + len(runs[t]):
+                    self._cover(t, i, hi)
+        v, den, fd = runs[r][i - starts[r]]
         return fd.from_lattice(v, den)
 
     def _cover(self, r: int, lo: int, hi: int) -> None:
@@ -609,28 +613,6 @@ def det_elimination(m) -> FieldElement:
                     row[j] = (q0, q1)
         prev = p
     return fd.from_lattice(g[n - 1][n - 1], sign * scale)
-
-
-def det_cofactor(m) -> FieldElement:
-    """Exact determinant by first-row cofactor expansion (small n only)."""
-    a, fd = _square_grid(m)
-    n = len(a)
-
-    def expand(rows, cols):
-        if len(cols) == 1:
-            return a[rows[0]][cols[0]]
-        top = rows[0]
-        rest = rows[1:]
-        acc = fd.zero
-        for t, c in enumerate(cols):
-            if a[top][c].is_zero:
-                continue
-            sub = expand(rest, cols[:t] + cols[t + 1:])
-            term = a[top][c] * sub
-            acc = acc + term if t % 2 == 0 else acc - term
-        return acc
-
-    return expand(tuple(range(n)), tuple(range(n)))
 
 
 def reconstruct_entry(m: FriezeMatrix, i: int, j: int) -> FieldElement:

@@ -20,7 +20,7 @@ from friezecalc import (
     serialize,
 )
 from friezecalc.generators import random_frieze_matrix
-from friezecalc.matrix import SeedData
+from friezecalc.matrix import SeedData, _square_grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -154,3 +154,27 @@ FRIEZE_ZERO = "frieze entry ({i},{j}) is zero; the seeds generate no frieze"
 def diamond_frieze_entry(x, y, zero_message: str, i: int, j: int):
     """e(i, j), j > i, of the frieze with seed rows x, y by the diamond rule."""
     return diamond_entry(x, y, 1, zero_message, i, j, lambda a, b: x(a) * x(b - 1))
+
+
+def det_cofactor(m):
+    """Exact determinant of a matrix or a plain square grid by first-row
+    cofactor expansion: the reference for the elimination kernel, whose
+    cost is exponential in n, so small n only."""
+    a, fd = _square_grid(m)
+    n = len(a)
+
+    def expand(rows, cols):
+        if len(cols) == 1:
+            return a[rows[0]][cols[0]]
+        top = rows[0]
+        rest = rows[1:]
+        acc = fd.zero
+        for t, c in enumerate(cols):
+            if a[top][c].is_zero:
+                continue
+            sub = expand(rest, cols[:t] + cols[t + 1:])
+            term = a[top][c] * sub
+            acc = acc + term if t % 2 == 0 else acc - term
+        return acc
+
+    return expand(tuple(range(n)), tuple(range(n)))

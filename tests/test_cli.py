@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from friezecalc import cli
 from friezecalc.cli import DEFAULT_SEED, run
 from friezecalc.generators import random_two_row_matrix
 
@@ -517,3 +518,33 @@ class TestBadInputExits2:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert run([str(path) if a == "DOC" else a for a in argv]) == 0
+
+
+class TestParserReuse:
+    """`run` reuses one argparse tree per process; parsing leaves it unchanged."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        cc = ["cc", "check", "--quiddity", "1,2,1,2"]
+        gen = ["frieze", "gen", "--seeds", CONST23, "--cols", "3"]
+        argvs = [
+            cc,
+            ["validate", EXM_PRINTED],
+            gen + ["--rows", "4", "--grid"],
+            gen + ["--rows", "3000"],
+            ["no-such-command"],
+            ["--help"],
+            ["frieze", "gen", "--help"],
+            cc,
+        ]
+
+        def outputs():
+            return [(run(argv), *capsys.readouterr()) for argv in argvs]
+
+        reused = outputs()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = outputs()
+        assert [code for code, _, _ in reused] == [0, 1, 0, 2, 2, 0, 0, 0]
+        assert reused == fresh

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from friezecalc import (
     RATIONAL,
-    ConeSpec,
     FriezeSeeds,
     InfiniteFrieze,
     SeedRow,
@@ -31,7 +30,7 @@ from friezecalc import (
 )
 from friezecalc import cli
 from friezecalc.field import FieldElement
-from friezecalc.matrix import SeedData
+from friezecalc.matrix import SeedData, _FriezeRows
 from friezecalc.serialize import frieze_seeds_from_json
 
 from conftest import (
@@ -65,6 +64,24 @@ class CountingRow(SeedRow):
     def value(self, i):
         self.reads += 1
         return super().value(i)
+
+
+class CountingRows(_FriezeRows):
+    """The row engine, counting its ``_cover`` calls and the cells it computes."""
+
+    __slots__ = ("covers", "cells")
+
+    def __init__(self, x, y, zero_message):
+        super().__init__(x, y, zero_message)
+        self.covers = self.cells = 0
+
+    def _cover(self, r, lo, hi):
+        self.covers += 1
+        super()._cover(r, lo, hi)
+
+    def _cells(self, r, lo, hi):
+        self.cells += hi - lo
+        return super()._cells(r, lo, hi)
 
 
 def with_field(entry):
@@ -145,11 +162,11 @@ class TestEntries:
 class TestCone:
     def test_single_point(self):
         f = const_frieze()
-        assert cone_entries(f, ConeSpec(4, 4)) == [((4, 4), RATIONAL.zero)]
+        assert cone_entries(f, 4, 4) == [((4, 4), RATIONAL.zero)]
 
     def test_values_of_small_cone(self):
         f = const_frieze()
-        entries = dict(cone_entries(f, ConeSpec(0, 3)))
+        entries = dict(cone_entries(f, 0, 3))
         assert len(entries) == 10
         assert all(entries[(i, i)].is_zero for i in range(4))
         assert [entries[(i, i + 1)] for i in range(3)] == [rat(2)] * 3
@@ -157,11 +174,11 @@ class TestCone:
         assert entries[(0, 3)] == rat(Fraction(5, 2))
 
     def test_triangular_count(self):
-        assert len(cone_entries(const_frieze(), ConeSpec(0, 5))) == 21
+        assert len(cone_entries(const_frieze(), 0, 5)) == 21
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            ConeSpec(3, 2)
+        with pytest.raises(ValueError, match="cone needs j >= i"):
+            cone_entries(const_frieze(), 3, 2)
 
 
 class TestExtract:
@@ -220,7 +237,7 @@ class TestExtract:
     def test_cone_matches_lower_triangle(self, figure_frieze):
         k, n = 1, 4
         m = extract_m_plus(figure_frieze, k, n)
-        cone = dict(cone_entries(figure_frieze, ConeSpec(k, k + n - 1)))
+        cone = dict(cone_entries(figure_frieze, k, k + n - 1))
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 assert m.entry(i, j) == cone[(k + j - 1, k + i - 1)]
@@ -413,6 +430,22 @@ class TestEngine:
                 for j in range(i + 1, 10):
                     assert with_field(m.entry)(i, j) == with_field(reference)(i, j)
         assert RATIONAL in fields
+
+    def test_row_by_row_window_covers_only_rows_that_miss(self):
+        # Read as `frieze gen` reads a window, a missing cell of row d is
+        # almost always missing from row d alone: the rows below already hold
+        # its cone's columns, so only rows that lack a column are extended.
+        seeds = frieze_seeds_from_json({
+            "field": {"kind": "quadratic", "d": 5},
+            "x": {"cycle": ["2", "1/2 + sqrt(5)", "3/2"]},
+            "y": {"cycle": ["9", "15/2 + sqrt(5)"]},
+        })
+        f = InfiniteFrieze(seeds)
+        rows = f._rows = CountingRows(seeds.x.value, seeds.y.value, FRIEZE_ZERO)
+        for r in range(40):
+            for i in range(40):
+                f.entry(i, i + r)
+        assert 0 < rows.covers <= rows.cells
 
     def test_window_does_field_operations_per_column(self, tmp_path, monkeypatch, capsys):
         # Fractional Q(sqrt 5) cycles with y_i >= x_i + x_(i+1), so no entry is

@@ -21,7 +21,6 @@ from friezecalc import (
     check_ptolemy,
     check_t_properties,
     det_closed_form,
-    det_cofactor,
     det_elimination,
     format_element,
     reconstruct_entry,
@@ -32,7 +31,7 @@ from friezecalc.generators import random_frieze_matrix
 from friezecalc.matrix import _elimination_trace
 from friezecalc.serialize import field_to_json, matrix_to_json
 
-from conftest import el5, rat
+from conftest import det_cofactor, el5, rat
 
 
 def grid_of(m) -> list[list[str]]:
