@@ -89,6 +89,15 @@ def _det2(a, b, c, e, d: int | None):
     return (a0 * b0 - c0 * e0 + d * (a1 * b1 - c1 * e1), a0 * b1 + a1 * b0 - c0 * e1 - c1 * e0)
 
 
+def _report_side(fd: FieldDescriptor, v, den: int, entries) -> FieldElement:
+    """v/den, for v a lattice value over fd: one side of a failed relation,
+    held where field arithmetic on the ``entries`` it is computed from would
+    hold it, in the join of their fields."""
+    x = fd.from_lattice(v, den)
+    f = _common_field(entries)
+    return x if f == x.field else FieldElement(x.a, x.b, f)
+
+
 class FriezeMatrix:
     """Square matrix of exact field elements with 1-based access.
 
@@ -325,13 +334,14 @@ def validate(m: FriezeMatrix) -> ValidationReport:
     lcm D of all coefficient denominators (see :func:`check_ptolemy`):
     equality and zero are unchanged by the scaling, and both sides of a
     diamond relation have degree 2, so both scale by D^2.  A failing
-    diamond instance is recomputed on the field elements for its report.
+    diamond instance reports both sides as the scaled sides over D^2.
     """
     n = m.n
-    zero = m.field.zero
-    d = m.field.d
+    fd = m.field
+    zero = fd.zero
+    d = fd.d
     rows = m.rows()
-    _, g = m.field.lattice(rows)
+    den, g = fd.lattice(rows)
     z = 0 if d is None else (0, 0)
     out: list[Violation] = []
     for i in range(n):
@@ -347,9 +357,13 @@ def validate(m: FriezeMatrix) -> ValidationReport:
         r, s = g[i - 1], g[i]
         for j in range(i + 1, n):
             # The right side m[i,i+1]*m[j,j+1] is a 2x2 determinant with a zero row.
-            if _det2(r[j - 1], s[j], s[j - 1], r[j], d) != _det2(r[i], g[j - 1][j], z, z, d):
-                lhs = m.entry(i, j) * m.entry(i + 1, j + 1) - m.entry(i + 1, j) * m.entry(i, j + 1)
-                rhs = m.entry(i, i + 1) * m.entry(j, j + 1)
+            lhs = _det2(r[j - 1], s[j], s[j - 1], r[j], d)
+            rhs = _det2(r[i], g[j - 1][j], z, z, d)
+            if lhs != rhs:
+                e = m.entry
+                corners = (e(i, j), e(i + 1, j + 1), e(i + 1, j), e(i, j + 1))
+                lhs = _report_side(fd, lhs, den**2, corners)
+                rhs = _report_side(fd, rhs, den**2, (e(i, i + 1), e(j, j + 1)))
                 out.append(Violation(RULE_DIAMOND, (i, j), lhs, rhs))
     return ValidationReport(tuple(out))
 
@@ -367,7 +381,7 @@ def check_ptolemy(
     lcm D of all coefficient denominators scales both by D^2: the relation
     holds on M exactly when it holds on DM.  The scan runs on DM, held as
     ints (over Q) or as pairs (p, q) = p + q*sqrt(d) (over Q(sqrt(d))); a
-    failing quadruple is recomputed on the field elements for its report.
+    failing quadruple reports both sides as its scaled sides over D^2.
     """
     n = m.n
     if quad is not None:
@@ -379,8 +393,10 @@ def check_ptolemy(
         quads = [(i - 1, j - 1, k - 1, l - 1)]
     else:
         quads = itertools.combinations_with_replacement(range(n), 4)
-    d = m.field.d
-    _, g = m.field.lattice(m.rows())
+    fd = m.field
+    d = fd.d
+    den, g = fd.lattice(m.rows())
+    z = 0 if d is None else (0, 0)
     out = []
     for i, j, k, l in quads:
         gi, gj = g[i], g[j]
@@ -396,9 +412,14 @@ def check_ptolemy(
                 and a0 * b0 - c0 * e0 - f0 * h0 == d * (c1 * e1 + f1 * h1 - a1 * b1)
             )
         if not holds:
+            # gi[j]*g[k][l] + gi[l]*gj[k] is the 2x2 determinant with -gj[k].
+            h = gj[k]
+            lhs = _det2(gi[k], gj[l], z, z, d)
+            rhs = _det2(gi[j], g[k][l], gi[l], -h if d is None else (-h[0], -h[1]), d)
             i, j, k, l = i + 1, j + 1, k + 1, l + 1
-            lhs = m.entry(i, k) * m.entry(j, l)
-            rhs = m.entry(i, j) * m.entry(k, l) + m.entry(i, l) * m.entry(j, k)
+            e = m.entry
+            lhs = _report_side(fd, lhs, den**2, (e(i, k), e(j, l)))
+            rhs = _report_side(fd, rhs, den**2, (e(i, j), e(k, l), e(i, l), e(j, k)))
             out.append(Violation(RULE_PTOLEMY, (i, j, k, l), lhs, rhs))
     return ValidationReport(tuple(out))
 
@@ -644,27 +665,31 @@ def check_t_properties(t: TriangularMatrix, m: FriezeMatrix) -> ValidationReport
 
     Both are homogeneous of degree 2 in the entries of t and the m[i,i+1],
     so they run on those entries scaled by their common denominator D, as
-    in :func:`check_ptolemy`; a failure is recomputed for its report.
+    in :func:`check_ptolemy`; a failure reports its scaled side over D^2.
     """
     n = t.n
     zero = m.field.zero
-    two = m.field.from_int(2)
     # Row n + 1 holds -2*m[i,i+1] at column i - 1, so (b) is a 2x2 determinant too.
     rows = t.rows() + (tuple(-2 * m.entry(i, i + 1) for i in range(2, n)),)
     fd = _common_field(e for r in rows for e in r)
     d = fd.d
-    _, g = fd.lattice(rows)
+    den, g = fd.lattice(rows)
     z = 0 if d is None else (0, 0)
+    e = t.entry
     out = []
     for i in range(2, n):
         r, s = g[i - 1], g[i]
         for j in range(i + 1, n):
-            if _det2(r[j - 1], s[j], s[j - 1], r[j], d) != z:
-                lhs = t.entry(i, j) * t.entry(i + 1, j + 1) - t.entry(i + 1, j) * t.entry(i, j + 1)
+            lhs = _det2(r[j - 1], s[j], s[j - 1], r[j], d)
+            if lhs != z:
+                corners = (e(i, j), e(i + 1, j + 1), e(i + 1, j), e(i, j + 1))
+                lhs = _report_side(fd, lhs, den**2, corners)
                 out.append(Violation(RULE_ZERO_DIAMOND, (i, j), lhs, zero))
     for i in range(2, n):
-        if _det2(g[i - 1][i - 1], g[i][i], g[n][i - 2], g[i - 1][i], d) != z:
-            lhs = t.entry(i, i) * t.entry(i + 1, i + 1)
-            lhs = lhs + two * m.entry(i, i + 1) * t.entry(i, i + 1)
+        lhs = _det2(g[i - 1][i - 1], g[i][i], g[n][i - 2], g[i - 1][i], d)
+        if lhs != z:
+            # The factor 2 of the relation is held in m.field, as zero is.
+            reads = (e(i, i), e(i + 1, i + 1), zero, m.entry(i, i + 1), e(i, i + 1))
+            lhs = _report_side(fd, lhs, den**2, reads)
             out.append(Violation(RULE_DIAGONAL_RELATION, (i,), lhs, zero))
     return ValidationReport(tuple(out))

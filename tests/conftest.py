@@ -21,6 +21,7 @@ from friezecalc import (
 )
 from friezecalc.generators import random_frieze_matrix
 from friezecalc.matrix import SeedData, _square_grid
+from friezecalc.zerofrieze import _nonzero
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,6 +120,16 @@ def outcome(entry, i: int, j: int):
         return type(exc).__name__, getattr(exc, "indices", getattr(exc, "index", None)), str(exc)
 
 
+def with_field(entry):
+    """``entry``, returning each value with the field it is held in."""
+
+    def read(i, j):
+        value = entry(i, j)
+        return value, value.field
+
+    return read
+
+
 def diamond_entry(row0, row1, base: int, zero_message: str, i: int, j: int, coeff=None):
     """e(i, j) by the diamond rule, the reference for the package's row rules.
 
@@ -178,3 +189,32 @@ def det_cofactor(m):
         return acc
 
     return expand(tuple(range(n)), tuple(range(n)))
+
+
+class ProductZeroFrieze:
+    """t[i,j] of the 0-frieze with rows u, v as a running product of field
+    elements, t[i,i] = v_i and t[i,j] = t[i,j-1]*(v_j/u_j): the reference for
+    the package's fraction-free rows.  It reads the seeds as the package
+    does, v_i first, then v_k before u_k, each step v_k/u_k once, and keeps
+    each row, so a request may extend an earlier one."""
+
+    def __init__(self, u, v):
+        self.u = _nonzero(u, "u", -1)
+        self.v = _nonzero(v, "v", 0)
+        self._rows = {}
+        self._steps = {}
+
+    def entry(self, i: int, j: int):
+        if j < i - 1:
+            raise ValueError(f"0-frieze entries need j >= i-1, got ({i},{j})")
+        if j == i - 1:
+            return self.u(i)
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = [self.v(i)]
+        for k in range(i + len(row), j + 1):
+            step = self._steps.get(k)
+            if step is None:
+                step = self._steps[k] = self.v(k) / self.u(k)
+            row.append(row[-1] * step)
+        return row[j - i]

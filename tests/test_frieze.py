@@ -47,6 +47,7 @@ from conftest import (
     rat,
     seed_fields,
     seed_rows,
+    with_field,
 )
 
 MATRIX_ZERO = "seeds generate a zero entry at ({i},{j})"
@@ -82,16 +83,6 @@ class CountingRows(_FriezeRows):
     def _cells(self, r, lo, hi):
         self.cells += hi - lo
         return super()._cells(r, lo, hi)
-
-
-def with_field(entry):
-    """``entry``, returning each value with the field it is held in."""
-
-    def read(i, j):
-        value = entry(i, j)
-        return value, value.field
-
-    return read
 
 
 def const_frieze(xv=2, yv=3) -> InfiniteFrieze:

@@ -154,15 +154,19 @@ _ptolemy_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 @st.composite
 def ptolemy_matrices(draw):
-    """A frieze matrix of size 2-7 with mixed denominators, left alone or
+    """A frieze matrix of size 2-7 with mixed denominators and mixed-field
+    seeds, left alone or
     with one symmetric pair changed, one entry changed (breaking symmetry;
     the new value may be a plain rational) or one diagonal entry nonzero."""
     fd = draw(_ptolemy_fields)
     n = draw(st.integers(2, 7))
     b = st.just(0) if fd.is_rational else _ptolemy_coeffs
     nonzero = st.builds(fd.element, _ptolemy_coeffs, b).filter(bool)
-    x = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
-    y = draw(st.lists(nonzero, min_size=n - 2, max_size=n - 2))
+    # Seeds held in fd or in Q, so entries, and the sides of a failed
+    # relation, may be held in either.
+    seed = nonzero | st.builds(RATIONAL.element, _ptolemy_coeffs).filter(bool)
+    x = draw(st.lists(seed, min_size=n - 1, max_size=n - 1))
+    y = draw(st.lists(seed, min_size=n - 2, max_size=n - 2))
     try:
         rows = [list(r) for r in build_from_seeds(SeedData(x, y), fd).rows()]
     except ZeroEntryError:

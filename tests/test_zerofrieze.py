@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from friezecalc import (
     RATIONAL,
     FactorizationImpossibleError,
+    FieldElement,
     FriezeSeeds,
     InfiniteFrieze,
     SeedRow,
@@ -24,21 +26,28 @@ from friezecalc import (
     triangulate,
     window_cells,
 )
+from friezecalc.cli import run
 from friezecalc.generators import random_rational
-from friezecalc.matrix import SeedData
+from friezecalc.matrix import RULE_ZERO_DIAMOND, SeedData, ValidationReport, Violation
 from friezecalc.serialize import zero_seeds_from_json
 
 from conftest import (
+    FIXTURES,
     FRIEZE_ZERO,
+    Q5,
+    ProductZeroFrieze,
     diamond_entry,
     diamond_frieze_entry,
+    el5,
     entry_requests,
     load_fixture,
+    mixed_elements,
     outcome,
     pin_fields,
     rat,
     seed_fields,
     seed_rows,
+    with_field,
 )
 
 ZERO_MESSAGE = "0-frieze entry ({i},{j}) is zero; the rows admit no 0-frieze"
@@ -67,6 +76,87 @@ def diamond_from_frieze_rows(x, y, fd, k: int):
         return minus2 * f(k, k + i - 1) * x(k + i - 2) / f(k, k + i - 2)
 
     return u, v
+
+
+def field_check_zero_diamond(cells):
+    """check_zero_diamond on field elements, diamond by diamond: the
+    reference for the lattice check."""
+    if not cells:
+        return ValidationReport()
+    zero = next(iter(cells.values())).field.zero
+    out = [Violation("nonzero", c, cells[c], zero) for c in sorted(cells) if cells[c].is_zero]
+    for (i, j) in sorted(cells):
+        corners = [(i, j), (i + 1, j + 1), (i + 1, j), (i, j + 1)]
+        if j < i or not all(c in cells for c in corners):
+            continue
+        lhs = cells[(i, j)] * cells[(i + 1, j + 1)] - cells[(i + 1, j)] * cells[(i, j + 1)]
+        if not lhs.is_zero:
+            out.append(Violation(RULE_ZERO_DIAMOND, (i, j), lhs, zero))
+    return ValidationReport(tuple(out))
+
+
+def field_rank1_factorize(cells):
+    """rank1_factorize with its closing check t[i,j] = a_i*b_j on field
+    elements: the reference for the lattice check."""
+    if not cells:
+        raise ValueError("empty window")
+    for idx, val in cells.items():
+        if val.is_zero:
+            raise ValueError(f"zero entry at {idx}; 0-frieze entries are nonzero")
+    fd = next(iter(cells.values())).field
+    a, b = {min(i for i, _ in cells): fd.one}, {}
+    changed = True
+    while changed:
+        changed = False
+        for (i, j), val in cells.items():
+            if i in a and j not in b:
+                b[j] = val / a[i]
+                changed = True
+            elif j in b and i not in a:
+                a[i] = val / b[j]
+                changed = True
+    missing = [(i, j) for (i, j) in cells if i not in a or j not in b]
+    if missing:
+        raise ValueError(f"window is not connected: cannot reach {missing[0]}")
+    for (i, j), val in sorted(cells.items()):
+        if val != a[i] * b[j]:
+            raise FactorizationImpossibleError((i, j))
+    return a, b
+
+
+def sides(report):
+    """Each violation of ``report``, with the fields its two sides are held in."""
+    return [(v, v.lhs.field, v.rhs.field) for v in report.violations]
+
+
+def settled(check, cells):
+    """check(cells), or the type, indices and text of the error it raises."""
+    return outcome(lambda _i, _j: check(cells), 0, 0)
+
+
+@st.composite
+def windows(draw):
+    """A 0-frieze window on mixed-field cycles, in any insertion order, with
+    up to three cells scaled, shifted, zeroed or dropped."""
+    fd = draw(pin_fields)
+    u, v = (
+        SeedRow.cycle(draw(st.lists(mixed_elements(fd), min_size=1, max_size=3)))
+        for _ in range(2)
+    )
+    cells = window_cells(
+        ZeroFrieze(u, v, fd), draw(st.integers(-3, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(cells)))
+        action = draw(st.sampled_from(["scale", "shift", "zero", "drop"]))
+        if action == "drop" and len(cells) > 1:
+            del cells[key]
+        elif action == "zero":
+            cells[key] = fd.zero
+        elif action != "drop":
+            c = draw(mixed_elements(fd))
+            cells[key] = cells[key] * c if action == "scale" else cells[key] + c
+    return {key: cells[key] for key in draw(st.permutations(list(cells)))}
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +248,20 @@ class TestRecursion:
             assert outcome(zf.entry, i, i + d - 1) == outcome(reference, i, i + d - 1)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), pin_fields, entry_requests)
+    def test_lattice_rows_match_the_field_element_product(self, data, fd, requests):
+        # Seed values are held in fd or in Q, so a row may start in Q and
+        # meet a step held in fd; each cell must be held where the product
+        # of field elements holds it, and fail with the same error.
+        u = data.draw(seed_rows(fd, mixed_elements))
+        v = data.draw(seed_rows(fd, mixed_elements))
+        zf, reference = ZeroFrieze(u, v, fd), ProductZeroFrieze(u, v)
+        for i, d in requests:
+            expected = outcome(with_field(reference.entry), i, i + d - 1)
+            assert outcome(with_field(zf.entry), i, i + d - 1) == expected
+
+
 class TestFromFrieze:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), pin_fields, st.integers(-3, 3), entry_requests)
@@ -168,6 +272,29 @@ class TestFromFrieze:
         reference = partial(diamond_zero_entry, u, v)
         for i, d in requests:
             assert outcome(zf.entry, i, i + d - 1) == outcome(reference, i, i + d - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), pin_fields, st.integers(-3, 3), entry_requests)
+    def test_lattice_rows_match_the_field_element_product(self, data, fd, k, requests):
+        x = data.draw(seed_rows(fd, mixed_elements))
+        y = data.draw(seed_rows(fd, mixed_elements))
+        zf = from_frieze(InfiniteFrieze(FriezeSeeds(x, y, fd)), k)
+        other = from_frieze(InfiniteFrieze(FriezeSeeds(x, y, fd)), k)
+        reference = ProductZeroFrieze(other.u, other.v)
+        for i, d in requests:
+            expected = outcome(with_field(reference.entry), i, i + d - 1)
+            assert outcome(with_field(zf.entry), i, i + d - 1) == expected
+
+    def test_cells_are_held_in_lowest_terms(self):
+        # The steps v_k/u_k = f[0,k-1]/f[0,k-2] telescope; a cell that kept
+        # the factors they cancel would grow with its row.
+        x = SeedRow.cycle([el5("3/2 + 1/2*sqrt(5)"), rat(Fraction(5, 3))])
+        y = SeedRow.cycle([el5("9 + sqrt(5)"), el5("8 + 1/3*sqrt(5)")])
+        zf = from_frieze(InfiniteFrieze(FriezeSeeds(x, y, Q5)), 0)
+        window_cells(zf, 0, 12, 12)
+        for row in zf._rows.values():
+            for v, den, fd in row:
+                assert math.gcd(*(v if fd.d else (v,)), den) == 1
 
     def test_u_row_constant(self):
         tk = from_frieze(const_frieze(), 0)
@@ -262,3 +389,58 @@ class TestRank1:
             cells = window_cells(zf, rng.randint(-3, 0), 8, 5)
             a, b = rank1_factorize(cells)
             assert all(a[i] * b[j] == val for (i, j), val in cells.items())
+
+
+class TestLatticeChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(windows())
+    def test_zero_diamond_matches_field_elements(self, cells):
+        got, expected = check_zero_diamond(cells), field_check_zero_diamond(cells)
+        assert sides(got) == sides(expected)
+        assert list(map(str, got.violations)) == list(map(str, expected.violations))
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows())
+    def test_rank1_matches_field_elements(self, cells):
+        assert settled(rank1_factorize, cells) == settled(field_rank1_factorize, cells)
+
+    def test_mixed_field_window(self):
+        # Only u at odd i is held in Q(sqrt 5): the diamond at (-1, -1) reads
+        # cells held in Q alone, so its failed side is held in Q, while the
+        # one at (0, 0) reads u_1 and is held in Q(sqrt 5).
+        u = SeedRow.cycle([rat(-2), el5("1 + sqrt(5)")])
+        v = SeedRow.cycle([rat(3), rat(Fraction(1, 3))])
+        cells = window_cells(ZeroFrieze(u, v, Q5), -2, 5, 5)
+        assert {c.field for c in cells.values()} == {RATIONAL, Q5}
+        cells[(0, 0)] = cells[(0, 0)] + rat(1)
+        report = check_zero_diamond(cells)
+        assert sides(report) == sides(field_check_zero_diamond(cells))
+        assert {v.lhs.field for v in report.violations} == {RATIONAL, Q5}
+        got = settled(rank1_factorize, cells)
+        assert got == settled(field_rank1_factorize, cells)
+        assert got[0] == "FactorizationImpossibleError"
+
+    def test_disconnected_and_empty_windows(self):
+        cells = {(0, 0): rat(2), (1, 1): rat(3)}
+        for bad in (cells, {}):
+            assert settled(rank1_factorize, bad) == settled(field_rank1_factorize, bad)
+            assert settled(rank1_factorize, bad)[0] == "ValueError"
+
+    def test_check_makes_few_field_element_operations(self, monkeypatch, capsys):
+        # Cell by cell on field elements this check made 3,155 operator
+        # calls; on the lattice only the steps v_k/u_k and the propagation
+        # of a and b divide field elements.
+        calls = [0]
+        for name in (
+            "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+            "__rmul__", "__truediv__", "__rtruediv__", "inv", "__pow__", "__eq__",
+        ):
+            def counted(*args, _op=getattr(FieldElement, name)):
+                calls[0] += 1
+                return _op(*args)
+
+            monkeypatch.setattr(FieldElement, name, counted)
+        seeds = str(FIXTURES / "zerofrieze_s5_seeds.json")
+        assert run(["zerofrieze", "check", seeds, "--rows", "20", "--cols", "20"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        assert calls[0] <= 400
