@@ -65,9 +65,11 @@ def _at_most(what: str, value: int, most: int) -> None:
 
 
 def _load_matrix(path: str):
-    m = serialize.matrix_from_json(_read_json(path))
-    _at_most("matrix size n", m.n, MAX_MATRIX_SIZE)
-    return m
+    doc = _read_json(path)
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if isinstance(entries, list):  # refused before any entry is parsed
+        _at_most("matrix size n", len(entries), MAX_MATRIX_SIZE)
+    return serialize.matrix_from_json(doc)
 
 
 def _load_frieze(path: str) -> InfiniteFrieze:

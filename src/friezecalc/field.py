@@ -275,13 +275,14 @@ def format_element(x: FieldElement, compact: bool = False) -> str:
 
 
 # One term of the grammar above, matched again and again from the start of
-# the string: a sign (required after the first term), a rational, a '*' only
-# between a rational and a sqrt, and a sqrt.  Each part may be absent, so the
-# pattern always matches; a term with neither a rational nor a sqrt is an error.
+# the string: a sign (required after the first term), a rational as its
+# numerator and denominator digits, a '*' only between a rational and a sqrt,
+# and a sqrt.  Each part may be absent, so the pattern always matches; a term
+# with neither a rational nor a sqrt is an error.
 _TERM = re.compile(
     r"""\s*(?P<sign>[+-])?
-        \s*(?P<rat>\d+(?:/\d+)?)?
-        (?:\s*(?(rat)(?:\*\s*)?)sqrt\(\s*(?P<arg>-?\d+)\s*\))?
+        \s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?
+        (?:\s*(?(num)(?:\*\s*)?)sqrt\(\s*(?P<arg>-?\d+)\s*\))?
         \s*""",
     re.VERBOSE,
 )
@@ -290,26 +291,30 @@ _TERM = re.compile(
 def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
     """Parse an element string in the grammar above, canonicalized.
 
-    Raises :class:`ElementSyntaxError` on malformed input or when a sqrt
-    term names a radical other than the field's d, and ZeroDivisionError
-    on a zero denominator.
+    Each coefficient is built from the integers its digits spell, and the
+    first rational and the first sqrt term are taken as they are; later
+    terms are added to them.  Raises :class:`ElementSyntaxError` on
+    malformed input or when a sqrt term names a radical other than the
+    field's d, ZeroDivisionError on a zero denominator, and ValueError on a
+    digit string longer than ``sys.get_int_max_str_digits()``.
     """
-    a = b = _ZERO
+    a = b = None
     pos = 0
     while True:
         m = _TERM.match(text, pos)
-        sign, rat, arg = m.groups()
-        if rat is None and arg is None:
+        sign, num, den, arg = m.groups()
+        if num is None and arg is None:
             raise ElementSyntaxError(f"expected a term at {text[pos:]!r}")
         if pos and sign is None:
             raise ElementSyntaxError("terms must be joined by '+' or '-'")
-        coeff = Fraction(f"{sign or ''}{rat or 1}")
+        p = int(num) if num else 1
+        coeff = Fraction(-p if sign == "-" else p, int(den or 1))
         if arg is None:
-            a += coeff
+            a = coeff if a is None else a + coeff
         elif field.is_rational or int(arg) != field.d:
             raise ElementSyntaxError(f"sqrt({int(arg)}) does not belong to {field}")
         else:
-            b += coeff
+            b = coeff if b is None else b + coeff
         pos = m.end()
         if pos == len(text):
-            return FieldElement(a, b, field)
+            return FieldElement(a or _ZERO, b or _ZERO, field)

@@ -98,9 +98,18 @@ def matrix_from_json(obj: Any) -> FriezeMatrix:
         not isinstance(r, list) or len(r) != n for r in entries
     ):
         raise ValueError('"entries" must be an n x n array of strings')
-    return FriezeMatrix(
-        [[_element(s, fd) for s in row] for row in entries]
-    )
+    # Elements are immutable, so each distinct text is parsed once and its
+    # element shared, as by the two entries of a symmetric pair.
+    memo: dict[str, FieldElement] = {}
+
+    def element(s: Any) -> FieldElement:
+        text = str(s)
+        x = memo.get(text)
+        if x is None:
+            x = memo[text] = _element(text, fd)
+        return x
+
+    return FriezeMatrix([[element(s) for s in row] for row in entries])
 
 
 def _seed_row_from_json(obj: Any, fd: FieldDescriptor, name: str) -> SeedRow:

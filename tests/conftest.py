@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from friezecalc import (
     RATIONAL,
+    ElementSyntaxError,
     FieldDescriptor,
+    FieldElement,
     SeedRow,
     ZeroEntryError,
     build_from_seeds,
@@ -34,6 +37,40 @@ def rat(v) -> object:
 
 def el5(text: str) -> object:
     return parse_element(text, Q5)
+
+
+# The element parser before coefficients were built from the matched ints:
+# each coefficient goes through Fraction's own string parser and is added to
+# zero.  It is the reference for `parse_element`.
+_REFERENCE_TERM = re.compile(
+    r"""\s*(?P<sign>[+-])?
+        \s*(?P<rat>\d+(?:/\d+)?)?
+        (?:\s*(?(rat)(?:\*\s*)?)sqrt\(\s*(?P<arg>-?\d+)\s*\))?
+        \s*""",
+    re.VERBOSE,
+)
+
+
+def reference_parse_element(text: str, field: FieldDescriptor) -> FieldElement:
+    a = b = Fraction(0)
+    pos = 0
+    while True:
+        m = _REFERENCE_TERM.match(text, pos)
+        sign, rat, arg = m.groups()
+        if rat is None and arg is None:
+            raise ElementSyntaxError(f"expected a term at {text[pos:]!r}")
+        if pos and sign is None:
+            raise ElementSyntaxError("terms must be joined by '+' or '-'")
+        coeff = Fraction(f"{sign or ''}{rat or 1}")
+        if arg is None:
+            a += coeff
+        elif field.is_rational or int(arg) != field.d:
+            raise ElementSyntaxError(f"sqrt({int(arg)}) does not belong to {field}")
+        else:
+            b += coeff
+        pos = m.end()
+        if pos == len(text):
+            return FieldElement(a, b, field)
 
 
 def load_fixture(name: str):

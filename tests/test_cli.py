@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from friezecalc import cli
+from friezecalc import FieldDescriptor, FriezeMatrix, cli, parse_element, serialize
 from friezecalc.cli import DEFAULT_SEED, run
 from friezecalc.generators import random_two_row_matrix
 
@@ -505,6 +505,19 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    def test_oversized_document_is_refused_before_parsing(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        parse = serialize.parse_element
+        monkeypatch.setattr(serialize, "parse_element", lambda *a: calls.append(a) or parse(*a))
+        n = cli.MAX_MATRIX_SIZE + 6
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"n": n, "entries": [["x/"] * n for _ in range(n)]}))
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"matrix size n must be at most {cli.MAX_MATRIX_SIZE}, got {n}" in captured.err
+        assert calls == []
+
     @pytest.mark.parametrize(
         "argv, doc",
         [
@@ -548,3 +561,64 @@ class TestParserReuse:
         fresh = outputs()
         assert [code for code, _, _ in reused] == [0, 1, 0, 2, 2, 0, 0, 0]
         assert reused == fresh
+
+
+class TestMatrixDocumentMemo:
+    """`matrix_from_json` parses each distinct entry text once per document."""
+
+    DOC = {
+        "field": {"kind": "quadratic", "d": 5},
+        "entries": [
+            ["0", "1/2", "2/4", "1 + sqrt(5)"],
+            ["1/2", "0", "1+sqrt(5)", "0"],
+            ["2/4", "1+sqrt(5)", "0", "-3/7*sqrt(5)"],
+            ["1 + sqrt(5)", "0", "-3/7*sqrt(5)", "0"],
+        ],
+    }
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        texts = []
+        parse = serialize.parse_element
+        monkeypatch.setattr(serialize, "parse_element", lambda t, fd: texts.append(t) or parse(t, fd))
+        return texts
+
+    def test_equals_per_entry_parsing(self, monkeypatch):
+        texts = self._count_parses(monkeypatch)
+        m = serialize.matrix_from_json(self.DOC)
+        q5 = FieldDescriptor(5)
+        expected = FriezeMatrix([[parse_element(s, q5) for s in row] for row in self.DOC["entries"]])
+        assert m == expected and m.field == expected.field
+        assert [[(e.field, str(e)) for e in r] for r in m.rows()] == [
+            [(e.field, str(e)) for e in r] for r in expected.rows()
+        ]
+        # "0" is a falsy element, parsed once like every other text.
+        assert sorted(texts) == sorted({s for row in self.DOC["entries"] for s in row})
+        assert m.entry(1, 2) is m.entry(2, 1) and m.entry(1, 1) is m.entry(4, 4)
+        assert m.entry(1, 2) == m.entry(1, 3)  # "1/2" and "2/4": one value, two texts
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [("1/0", "element '1/0' has a zero denominator"),
+         ("sqrt(3)", "sqrt(3) does not belong to Q(sqrt(5))")],
+    )
+    def test_bad_entry_after_repeated_text(self, monkeypatch, bad, error):
+        doc = {"field": {"kind": "quadratic", "d": 5},
+               "entries": [["0", "1/2", "1/2"], ["1/2", "0", bad], ["1/2", bad, "0"]]}
+        with pytest.raises(ValueError) as per_entry:
+            [serialize._element(s, FieldDescriptor(5)) for row in doc["entries"] for s in row]
+        assert str(per_entry.value) == error
+        texts = self._count_parses(monkeypatch)
+        for _ in range(2):  # an error is raised again, never remembered
+            with pytest.raises(ValueError) as raised:
+                serialize.matrix_from_json(doc)
+            assert (type(raised.value), str(raised.value)) == (type(per_entry.value), error)
+        assert texts == ["0", "1/2", bad] * 2
+
+    @pytest.mark.parametrize("entry", [[1], {"a": 1}, ["1/2"]], ids=["list", "object", "text-list"])
+    def test_json_container_entry_exits_2(self, capsys, tmp_path, entry):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"entries": [["0", entry], [entry, "0"]]}))
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err

@@ -17,6 +17,8 @@ from friezecalc import (
     parse_element,
 )
 
+from conftest import reference_parse_element
+
 Q5 = FieldDescriptor(5)
 QM1 = FieldDescriptor(-1)
 
@@ -111,6 +113,70 @@ class TestParse:
             parse_element(text, fd)
         except (ElementSyntaxError, ZeroDivisionError, ValueError):
             pass
+
+
+_blank = st.text(alphabet=" \t", max_size=2)
+_digits = st.text(alphabet="0123456789", min_size=1, max_size=8) | st.sampled_from(["0", "٣", "12٣"])
+
+
+@st.composite
+def grammar_texts(draw):
+    """Text shaped like the element grammar: sums of 1-4 terms with optional
+    signs, '*', blanks and tabs, zero denominators, and radicals of the field
+    or of another one."""
+    out = []
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["", "+", "-"] if k == 0 else ["+", "-", "+", "-", ""]))
+        num = draw(st.none() | _digits)
+        if num is not None and draw(st.booleans()):
+            num += "/" + draw(st.just("0") | _digits)
+        out += [draw(_blank), sign, draw(_blank), num or ""]
+        arg = draw(st.none() | st.sampled_from(["5", "-1", "3", "-5", "0", "2", " 5 ", "\t-1"]))
+        if arg is not None:
+            out += [draw(st.sampled_from(["", "*", " * ", "\t*", " "])), f"sqrt({arg})"]
+    return "".join(out) + draw(_blank)
+
+
+def _parsed(parse, text, fd):
+    """Value, field and canonical text of ``parse(text, fd)``, or the type
+    and message of the error it raises."""
+    try:
+        x = parse(text, fd)
+    except Exception as exc:  # errors are part of the outcome
+        return type(exc), str(exc)
+    return x.a, x.b, x.field, format_element(x)
+
+
+class TestParsePin:
+    """`parse_element` against the reference parser that builds each
+    coefficient with Fraction's string parser."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.sampled_from([RATIONAL, Q5, QM1]),
+        grammar_texts()
+        | st.text()
+        | st.text(alphabet="0123456789/+-* sqrt()\t٣x", max_size=30),
+    )
+    def test_same_outcome_as_reference(self, fd, text):
+        assert _parsed(parse_element, text, fd) == _parsed(reference_parse_element, text, fd)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 4301,
+            "-" + "7" * 4301 + "/3",
+            "1/" + "2" * 4301,
+            "1 + " + "9" * 5000 + "*sqrt(5)",
+            "2 - " + "3" * 4301 + "/" + "4" * 4301,
+            "sqrt(" + "5" * 4301 + ")",
+        ],
+        ids=["num", "signed-num", "den", "sqrt-coefficient", "num-and-den", "radicand"],
+    )
+    def test_digit_strings_past_the_int_limit(self, text):
+        with pytest.raises(ValueError):
+            parse_element(text, Q5)
+        assert _parsed(parse_element, text, Q5) == _parsed(reference_parse_element, text, Q5)
 
 
 class TestCoefficients:
