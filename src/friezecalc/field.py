@@ -1,10 +1,12 @@
 """Exact elements of Q and of quadratic extensions Q(sqrt(d)).
 
-Every value is an immutable pair of rationals (a, b) denoting a + b*sqrt(d),
-with b = 0 forced over plain Q.  All arithmetic is exact; there is no
-floating point anywhere.  Rationals are kept in lowest terms with positive
-denominator (``fractions.Fraction`` guarantees this), and d is required to
-be a non-square integer so that a + b*sqrt(d) = 0 iff a = b = 0.
+Every value is an immutable element (p + q*sqrt(d)) / den held as three
+ints, with den > 0, gcd(p, q, den) = 1 and q = 0 forced over plain Q.  d is
+required to be a non-square integer, so that a + b*sqrt(d) = 0 iff
+a = b = 0: an element has one pair of rational coefficients a = p/den and
+b = q/den, and that pair one such triple (see :class:`FieldElement`), so
+equal elements are equal triples.  All arithmetic is exact integer
+arithmetic with one gcd per result; there is no floating point anywhere.
 
 Text grammar for parsing/formatting::
 
@@ -29,9 +31,6 @@ __all__ = [
     "format_element",
     "parse_element",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FieldMismatchError(ValueError):
@@ -75,35 +74,33 @@ class FieldDescriptor:
 
     def lattice(self, rows) -> tuple[int, list[list]]:
         """``(den, rows of den * entries)`` for the lcm ``den`` of every
-        coefficient denominator of ``rows``: ints over Q, pairs
-        (p, q) = p + q*sqrt(d) over Q(sqrt(d))."""
-        den = math.lcm(*(c.denominator for r in rows for e in r for c in (e.a, e.b)))
+        element denominator of ``rows``, which is the lcm of every
+        coefficient denominator: ints over Q, pairs (p, q) = p + q*sqrt(d)
+        over Q(sqrt(d))."""
+        den = math.lcm(*(e._den for r in rows for e in r))
         if self.d is None:
-            return den, [[e.a.numerator * (den // e.a.denominator) for e in r] for r in rows]
-        return den, [
-            [(e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
-             for e in r]
-            for r in rows
-        ]
+            return den, [[e._p * (den // e._den) for e in r] for r in rows]
+        return den, [[(e._p * (k := den // e._den), e._q * k) for e in r] for r in rows]
 
     def from_lattice(self, v, den: int) -> "FieldElement":
         """The element v / den of a lattice value v: an int over Q, a pair
         (p, q) = p + q*sqrt(d) over Q(sqrt(d)); ``den`` is a nonzero int."""
         p, q = (v, 0) if self.d is None else v
-        return FieldElement(
-            Fraction(p, den) if p else _ZERO, Fraction(q, den) if q else _ZERO, self
-        )
+        g = math.gcd(p, q, den)
+        if den < 0:
+            g = -g
+        return _element(p // g, q // g, den // g, self)
 
     def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(n, _ZERO, self)
+        return FieldElement(n, 0, self)
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(_ZERO, _ZERO, self)
+        return _element(0, 0, 1, self)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(_ONE, _ZERO, self)
+        return _element(1, 0, 1, self)
 
     def __str__(self) -> str:
         return "Q" if self.d is None else f"Q(sqrt({self.d}))"
@@ -113,7 +110,9 @@ RATIONAL = FieldDescriptor()
 
 
 def _rational(x) -> Fraction:
-    """An int coefficient as a Fraction; floats and all else are refused."""
+    """An int or Fraction coefficient as a Fraction; floats and all else are refused."""
+    if isinstance(x, Fraction):
+        return x
     if not isinstance(x, int):
         raise TypeError(f"coefficient must be an int or a Fraction, not {type(x).__name__}")
     return Fraction(x)
@@ -130,31 +129,68 @@ def _join(f1: FieldDescriptor, f2: FieldDescriptor) -> FieldDescriptor:
     raise FieldMismatchError(f"cannot mix elements of {f1} and {f2}")
 
 
-@dataclass(frozen=True, eq=False)
 class FieldElement:
-    """Immutable a + b*sqrt(d); plain rational when the field is Q."""
+    """Immutable (p + q*sqrt(d)) / den; plain rational when the field is Q.
 
-    a: Fraction
-    b: Fraction
-    field: FieldDescriptor
+    ``FieldElement(a, b, field)`` is a + b*sqrt(d) for coefficients a, b
+    given as ints or Fractions.  It is held as the ints p = a*den,
+    q = b*den and den, for den the lcm L of the denominators of a and b;
+    ``a`` and ``b`` are read back as Fractions.  The triple is unique, with
+    den > 0 and gcd(p, q, den) = 1: p and q are ints exactly when den is a
+    multiple k*L, and then k divides p, q and den; at den = L, a prime r
+    dividing L divides the denominator of a, say, to the full power it has
+    in L, so r divides neither the numerator of a nor L/denominator(a), and
+    not p.  So ``==`` compares ints, and every result is brought to this
+    form by one three-way gcd.
 
-    def __post_init__(self):
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", _rational(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", _rational(self.b))
-        if self.field.is_rational and self.b != 0:
+    Assigning or deleting any attribute raises AttributeError; a copy or a
+    pickle rebuilds the element from ``(a, b, field)``.
+    """
+
+    __slots__ = ("_p", "_q", "_den", "field")
+
+    def __new__(cls, a, b, field: FieldDescriptor):
+        if type(a) is int and type(b) is int:
+            p, q, den = a, b, 1
+        else:
+            a, b = _rational(a), _rational(b)
+            den = math.lcm(a.denominator, b.denominator)
+            p, q = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        if q and field.is_rational:
             raise FieldMismatchError("rational element cannot carry a sqrt part")
+        return _element(p, q, den, field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"field elements are immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"field elements are immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FieldElement, (self.a, self.b, self.field)
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part p/den."""
+        return Fraction(self._p, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient q/den of sqrt(d)."""
+        return Fraction(self._q, self._den)
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self._p or self._q)
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
             return other
+        if type(other) is int:
+            return _element(other, 0, 1, self.field)
         if isinstance(other, (int, Fraction)):
-            return FieldElement(Fraction(other), _ZERO, self.field)
+            other = Fraction(other)
+            return _element(other.numerator, 0, other.denominator, self.field)
         return None
 
     def __add__(self, other) -> "FieldElement":
@@ -162,7 +198,10 @@ class FieldElement:
         if o is None:
             return NotImplemented
         fd = _join(self.field, o.field)
-        return FieldElement(self.a + o.a, self.b + o.b, fd)
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            return _reduced(self._p + o._p, self._q + o._q, d1, fd)
+        return _reduced(self._p * d2 + o._p * d1, self._q * d2 + o._q * d1, d1 * d2, fd)
 
     __radd__ = __add__
 
@@ -179,50 +218,41 @@ class FieldElement:
         return o + (-self)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.a, -self.b, self.field)
+        return _element(-self._p, -self._q, self._den, self.field)
 
     def __mul__(self, other) -> "FieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         fd = _join(self.field, o.field)
-        if fd.is_rational:
-            return FieldElement(self.a * o.a, _ZERO, fd)
-        d = fd.d
-        return FieldElement(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            fd,
-        )
+        p1, q1, p2, q2 = self._p, self._q, o._p, o._q
+        den = self._den * o._den
+        if q1 and q2:
+            return _reduced(p1 * p2 + fd.d * q1 * q2, p1 * q2 + q1 * p2, den, fd)
+        return _reduced(p1 * p2, p1 * q2 + q1 * p2, den, fd)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero element")
-        if self.field.is_rational:
-            return FieldElement(1 / self.a, _ZERO, self.field)
-        # Nonzero norm is guaranteed because d is a non-square.
-        norm = self.a * self.a - self.field.d * self.b * self.b
-        return FieldElement(self.a / norm, -self.b / norm, self.field)
+        return _quotient(self.field.one, self)
 
     def __truediv__(self, other) -> "FieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        return _quotient(self, o)
 
     def __rtruediv__(self, other) -> "FieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inv()
+        return _quotient(o, self)
 
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return self.inv() ** (-k)
-        out = FieldElement(_ONE, _ZERO, self.field)
+        out = self.field.one
         base = self
         while k:
             if k & 1:
@@ -236,13 +266,15 @@ class FieldElement:
         if o is None:
             return NotImplemented
         _join(self.field, o.field)  # reject cross-field comparison
-        return self.a == o.a and self.b == o.b
+        return self._p == o._p and self._q == o._q and self._den == o._den
 
     def __hash__(self):
         # With b == 0 hash as the rational part, like the int or Fraction
         # that the element compares equal to.  Otherwise hash d too, since
         # comparing elements of two quadratic fields raises.
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.field.d))
+        if self._q:
+            return hash((self.a, self.b, self.field.d))
+        return hash(self._p) if self._den == 1 else hash(self.a)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -254,24 +286,77 @@ class FieldElement:
         return f"<{format_element(self)}>"
 
 
+_new_object = object.__new__
+_set_p, _set_q, _set_den, _set_field = (
+    s.__set__ for s in (FieldElement._p, FieldElement._q, FieldElement._den, FieldElement.field)
+)
+
+
+def _element(p: int, q: int, den: int, field: FieldDescriptor) -> FieldElement:
+    """The element (p + q*sqrt(d)) / den, for ints already in canonical form."""
+    x = _new_object(FieldElement)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_den(x, den)
+    _set_field(x, field)
+    return x
+
+
+def _reduced(p: int, q: int, den: int, field: FieldDescriptor) -> FieldElement:
+    """The element (p + q*sqrt(d)) / den for den > 0, divided by gcd(p, q, den)."""
+    g = math.gcd(p, q, den)
+    if g != 1:
+        p, q, den = p // g, q // g, den // g
+    return _element(p, q, den, field)
+
+
+def _quotient(x: FieldElement, y: FieldElement) -> FieldElement:
+    """x / y; a zero y raises ZeroDivisionError before the fields are joined."""
+    p, q = y._p, y._q
+    if not (p or q):
+        raise ZeroDivisionError("inverse of zero element")
+    fd = _join(x.field, y.field)
+    k = y._den
+    if q:
+        # 1/(p + q*sqrt(d)) = (p - q*sqrt(d)) / (p^2 - d*q^2), and the norm
+        # p^2 - d*q^2 is nonzero because d is a non-square.
+        x0, x1 = x._p, x._q
+        n0, n1 = (x0 * p - fd.d * x1 * q) * k, (x1 * p - x0 * q) * k
+        norm = p * p - fd.d * q * q
+    else:
+        n0, n1, norm = x._p * k, x._q * k, p
+    if norm < 0:
+        n0, n1, norm = -n0, -n1, -norm
+    return _reduced(n0, n1, x._den * norm, fd)
+
+
+def _rational_text(n: int, den: int) -> str:
+    """The text of the Fraction n/den, for den > 0."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def format_element(x: FieldElement, compact: bool = False) -> str:
     """Canonical string; round-trips through :func:`parse_element`.
 
     ``compact`` omits spaces so the result is a single whitespace-free token
-    (used by the grid text format).
+    (used by the grid text format).  The coefficients p/den and q/den are
+    written in lowest terms.
     """
-    if x.b == 0:
-        return str(x.a)
+    p, q, den = x._p, x._q, x._den
+    if not q:
+        # gcd(p, den) = 1 here.
+        return str(p) if den == 1 else f"{p}/{den}"
     d = x.field.d
     sep = "" if compact else " "
 
-    def radical(c: Fraction) -> str:
-        return f"sqrt({d})" if c == 1 else f"{c}*sqrt({d})"
+    def radical(c: int) -> str:
+        return f"sqrt({d})" if c == den else f"{_rational_text(c, den)}*sqrt({d})"
 
-    if x.a == 0:
-        return radical(x.b) if x.b > 0 else "-" + radical(-x.b)
-    sign = "+" if x.b > 0 else "-"
-    return f"{x.a}{sep}{sign}{sep}{radical(abs(x.b))}"
+    if not p:
+        return radical(q) if q > 0 else "-" + radical(-q)
+    sign = "+" if q > 0 else "-"
+    return f"{_rational_text(p, den)}{sep}{sign}{sep}{radical(abs(q))}"
 
 
 # One term of the grammar above, matched again and again from the start of
@@ -291,30 +376,35 @@ _TERM = re.compile(
 def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
     """Parse an element string in the grammar above, canonicalized.
 
-    Each coefficient is built from the integers its digits spell, and the
-    first rational and the first sqrt term are taken as they are; later
-    terms are added to them.  Raises :class:`ElementSyntaxError` on
-    malformed input or when a sqrt term names a radical other than the
-    field's d, ZeroDivisionError on a zero denominator, and ValueError on a
-    digit string longer than ``sys.get_int_max_str_digits()``.
+    Each term is read as the integers n/k its digits spell and added to the
+    sum (p + q*sqrt(d)) / den, which is brought to lowest terms once, at the
+    end.  Raises :class:`ElementSyntaxError` on malformed input or when a
+    sqrt term names a radical other than the field's d, ZeroDivisionError
+    on a zero denominator (before the radical is checked, with the message
+    of ``Fraction(n, 0)``), and ValueError on a digit string longer than
+    ``sys.get_int_max_str_digits()``.
     """
-    a = b = None
+    p, q, den = 0, 0, 1
     pos = 0
     while True:
         m = _TERM.match(text, pos)
-        sign, num, den, arg = m.groups()
+        sign, num, k, arg = m.groups()
         if num is None and arg is None:
             raise ElementSyntaxError(f"expected a term at {text[pos:]!r}")
         if pos and sign is None:
             raise ElementSyntaxError("terms must be joined by '+' or '-'")
-        p = int(num) if num else 1
-        coeff = Fraction(-p if sign == "-" else p, int(den or 1))
+        n = int(num) if num else 1
+        if sign == "-":
+            n = -n
+        k = int(k) if k else 1
+        if not k:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
         if arg is None:
-            a = coeff if a is None else a + coeff
+            p, q, den = p * k + n * den, q * k, den * k
         elif field.is_rational or int(arg) != field.d:
             raise ElementSyntaxError(f"sqrt({int(arg)}) does not belong to {field}")
         else:
-            b = coeff if b is None else b + coeff
+            p, q, den = p * k, q * k + n * den, den * k
         pos = m.end()
         if pos == len(text):
-            return FieldElement(a or _ZERO, b or _ZERO, field)
+            return _reduced(p, q, den, field)

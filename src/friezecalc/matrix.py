@@ -93,9 +93,11 @@ def _report_side(fd: FieldDescriptor, v, den: int, entries) -> FieldElement:
     """v/den, for v a lattice value over fd: one side of a failed relation,
     held where field arithmetic on the ``entries`` it is computed from would
     hold it, in the join of their fields."""
-    x = fd.from_lattice(v, den)
     f = _common_field(entries)
-    return x if f == x.field else FieldElement(x.a, x.b, f)
+    if f.d != fd.d:
+        # One of the two fields is Q, so the side is rational: v is p or (p, 0).
+        v = (v, 0) if fd.d is None else v[0]
+    return f.from_lattice(v, den)
 
 
 class FriezeMatrix:
@@ -196,8 +198,10 @@ class _FriezeRows:
     engine asks only ``d``, ``lattice`` and ``from_lattice``.
 
     Each computed row d = j - i is stored as one run of consecutive columns
-    i; a request whose columns are disjoint from a stored run replaces it.  A
-    request evaluates the missing part of its cone by increasing d, then i.
+    i, and the row below holds the columns of the run and one more; a
+    request whose columns are disjoint from a stored run replaces it and
+    drops the rows above.  A request evaluates the missing part of its cone
+    by increasing d, then i.
     A cell reads e(i,j-1), y(j-2), e(i,j-2), x(j-1), x(j-2), in row d = 3
     y(i), y(i+1), x(i), x(i+2), x(i+1) as the diamond rule did; once its
     column has factors it skips the seed reads, which succeeded then and are
@@ -229,23 +233,31 @@ class _FriezeRows:
             return self._x(i) if r == -2 else self._y(i)
         starts, runs = self._starts, self._runs
         if r >= len(runs) or not 0 <= i - starts[r] < len(runs[r]):
-            # Row t of the cone needs columns [i, i + r - t + 1); most rows
-            # already hold them.
-            for t in range(r + 1):
-                hi = i + r - t + 1
-                if t == len(runs) or not starts[t] <= i < hi <= starts[t] + len(runs[t]):
-                    self._cover(t, i, hi)
+            # Row t of the cone needs columns [i, i + r - t + 1).  Each
+            # stored row t >= 1 runs over [s, e) with row t - 1 holding
+            # [s, e + 1), so the first row down from r that holds its
+            # columns holds the cone below it.
+            t = r
+            while t >= 0 and (
+                t >= len(runs) or not (starts[t] <= i and i + r - t + 1 <= starts[t] + len(runs[t]))
+            ):
+                t -= 1
+            for t in range(t + 1, r + 1):
+                self._cover(t, i, i + r - t + 1)
         v, den, fd = runs[r][i - starts[r]]
         return fd.from_lattice(v, den)
 
     def _cover(self, r: int, lo: int, hi: int) -> None:
-        """Make row r hold columns [lo, hi), computing the missing ones in order."""
+        """Make row r hold columns [lo, hi), computing the missing ones in
+        order; row r - 1 holds [lo, hi + 1) already.  A run replaced by a
+        disjoint one takes the rows above it along, whose runs it held up."""
         if r == len(self._runs):
             self._starts.append(lo)
             self._runs.append([])
         start, run = self._starts[r], self._runs[r]
         stop = start + len(run)
         if hi < start or lo > stop:
+            del self._starts[r + 1:], self._runs[r + 1:]
             start = stop = self._starts[r] = lo
             run = self._runs[r] = []
         if lo < start:

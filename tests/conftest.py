@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,12 +18,14 @@ from friezecalc import (
     ElementSyntaxError,
     FieldDescriptor,
     FieldElement,
+    FieldMismatchError,
     SeedRow,
     ZeroEntryError,
     build_from_seeds,
     parse_element,
     serialize,
 )
+from friezecalc.field import _join
 from friezecalc.generators import random_frieze_matrix
 from friezecalc.matrix import SeedData, _square_grid
 from friezecalc.zerofrieze import _nonzero
@@ -71,6 +75,155 @@ def reference_parse_element(text: str, field: FieldDescriptor) -> FieldElement:
         pos = m.end()
         if pos == len(text):
             return FieldElement(a, b, field)
+
+
+# The element as a pair of Fractions, as the package held it before it held
+# three ints: the reference for `FieldElement`, `format_element` and the
+# descriptor's `lattice` and `from_lattice`.
+@dataclass(frozen=True, eq=False)
+class ReferenceElement:
+    """Immutable a + b*sqrt(d); plain rational when the field is Q."""
+
+    a: Fraction
+    b: Fraction
+    field: FieldDescriptor
+
+    def __post_init__(self):
+        if not isinstance(self.a, Fraction):
+            object.__setattr__(self, "a", _reference_rational(self.a))
+        if not isinstance(self.b, Fraction):
+            object.__setattr__(self, "b", _reference_rational(self.b))
+        if self.field.is_rational and self.b != 0:
+            raise FieldMismatchError("rational element cannot carry a sqrt part")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def _coerce(self, other):
+        if isinstance(other, ReferenceElement):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ReferenceElement(Fraction(other), Fraction(0), self.field)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceElement(self.a + o.a, self.b + o.b, _join(self.field, o.field))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __neg__(self):
+        return ReferenceElement(-self.a, -self.b, self.field)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        fd = _join(self.field, o.field)
+        if fd.is_rational:
+            return ReferenceElement(self.a * o.a, Fraction(0), fd)
+        d = fd.d
+        return ReferenceElement(
+            self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, fd
+        )
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero element")
+        if self.field.is_rational:
+            return ReferenceElement(1 / self.a, Fraction(0), self.field)
+        norm = self.a * self.a - self.field.d * self.b * self.b
+        return ReferenceElement(self.a / norm, -self.b / norm, self.field)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inv()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inv()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inv() ** (-k)
+        out = ReferenceElement(Fraction(1), Fraction(0), self.field)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        _join(self.field, o.field)
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.field.d))
+
+
+def _reference_rational(x) -> Fraction:
+    if not isinstance(x, int):
+        raise TypeError(f"coefficient must be an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
+
+
+def reference_format_element(x: ReferenceElement, compact: bool = False) -> str:
+    if x.b == 0:
+        return str(x.a)
+    d = x.field.d
+    sep = "" if compact else " "
+
+    def radical(c: Fraction) -> str:
+        return f"sqrt({d})" if c == 1 else f"{c}*sqrt({d})"
+
+    if x.a == 0:
+        return radical(x.b) if x.b > 0 else "-" + radical(-x.b)
+    sign = "+" if x.b > 0 else "-"
+    return f"{x.a}{sep}{sign}{sep}{radical(abs(x.b))}"
+
+
+def reference_lattice(fd: FieldDescriptor, rows):
+    den = math.lcm(*(c.denominator for r in rows for e in r for c in (e.a, e.b)))
+    if fd.d is None:
+        return den, [[e.a.numerator * (den // e.a.denominator) for e in r] for r in rows]
+    return den, [
+        [(e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
+         for e in r]
+        for r in rows
+    ]
+
+
+def reference_from_lattice(fd: FieldDescriptor, v, den: int) -> ReferenceElement:
+    p, q = (v, 0) if fd.d is None else v
+    return ReferenceElement(
+        Fraction(p, den) if p else Fraction(0), Fraction(q, den) if q else Fraction(0), fd
+    )
 
 
 def load_fixture(name: str):

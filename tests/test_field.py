@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,12 +15,19 @@ from friezecalc import (
     RATIONAL,
     ElementSyntaxError,
     FieldDescriptor,
+    FieldElement,
     FieldMismatchError,
     format_element,
     parse_element,
 )
 
-from conftest import reference_parse_element
+from conftest import (
+    ReferenceElement,
+    reference_format_element,
+    reference_from_lattice,
+    reference_lattice,
+    reference_parse_element,
+)
 
 Q5 = FieldDescriptor(5)
 QM1 = FieldDescriptor(-1)
@@ -198,6 +208,22 @@ class TestCoefficients:
         s = {Q5.element(1, 1), FieldDescriptor(2).element(1, 1)}
         assert len(s) == 2
 
+    def test_copy_pickle_and_immutability(self):
+        for x in (
+            RATIONAL.element(Fraction(-7, 3)),
+            RATIONAL.zero,
+            Q5.element(Fraction(1, 2), Fraction(-5, 6)),
+            Q5.element(3, 0),
+        ):
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert y == x and y.field == x.field
+                assert format_element(y) == format_element(x)
+            for name in ("a", "b", "field", "_p", "_den", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                del x.field
+
 
 class TestFormat:
     def test_rational(self):
@@ -298,3 +324,68 @@ def test_nonzero_elements_invert(data, fd):
         x = x + fd.one
     assert x * x.inv() == fd.one
     assert (x / x) == fd.one
+
+
+# The pin against the Fraction-pair reference: the four fields, elements of
+# Q mixed with those of Q(sqrt(d)), zeros, and ints and Fractions as operands.
+pin_descriptors = st.sampled_from([RATIONAL, Q5, FieldDescriptor(2), QM1])
+_coefficients = st.just(Fraction(0)) | st.fractions(
+    min_value=-60, max_value=60, max_denominator=12
+)
+
+
+@st.composite
+def _coefficient_triples(draw, fd):
+    """(a, b, field) of an element of ``fd``, of Q or of any of the four fields."""
+    f = draw(st.sampled_from([fd, fd, RATIONAL]) | pin_descriptors)
+    return draw(_coefficients), Fraction(0) if f.is_rational else draw(_coefficients), f
+
+
+def _pinned(fn, fmt):
+    """What the pin compares of fn(): a, b, field, text (plain and compact)
+    and hash of an element, a bool as it is, or an error's type and message."""
+    try:
+        x = fn()
+    except Exception as exc:  # errors are part of the outcome
+        return type(exc), str(exc)
+    if isinstance(x, bool):
+        return x
+    return x.a, x.b, x.field, fmt(x), fmt(x, compact=True), hash(x)
+
+
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.data(),
+    pin_descriptors,
+    st.integers(-4, 4),
+    st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+def test_elements_match_the_fraction_pair_reference(data, fd, k, n):
+    triples = data.draw(st.lists(_coefficient_triples(fd), min_size=2, max_size=4))
+    new = [FieldElement(*t) for t in triples]
+    ref = [ReferenceElement(*t) for t in triples]
+
+    def same(new_fn, ref_fn):
+        assert _pinned(new_fn, format_element) == _pinned(ref_fn, reference_format_element)
+
+    x, y, rx, ry = new[0], new[1], ref[0], ref[1]
+    same(lambda: x, lambda: rx)
+    for op in _BINARY:
+        same(lambda: op(x, y), lambda: op(rx, ry))
+        same(lambda: op(x, n), lambda: op(rx, n))
+        same(lambda: op(n, x), lambda: op(n, rx))
+    same(lambda: -x, lambda: -rx)
+    same(x.inv, rx.inv)
+    same(lambda: x**k, lambda: rx**k)
+    # A lattice holds the elements of its field and of Q.
+    rows = [i for i, (_, _, f) in enumerate(triples) if f in (fd, RATIONAL)]
+    if rows:
+        lattice = fd.lattice([[new[i] for i in rows], [new[rows[0]]]])
+        assert lattice == reference_lattice(fd, [[ref[i] for i in rows], [ref[rows[0]]]])
+    p, q = data.draw(st.integers(-99, 99)), data.draw(st.integers(-99, 99))
+    den = data.draw(st.integers(-40, 40).filter(bool))
+    v = p if fd.is_rational else (p, q)
+    same(lambda: fd.from_lattice(v, den), lambda: reference_from_lattice(fd, v, den))

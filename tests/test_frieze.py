@@ -438,6 +438,28 @@ class TestEngine:
                 f.entry(i, i + r)
         assert 0 < rows.covers <= rows.cells
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        seed_fields,
+        st.lists(st.tuples(st.integers(-25, 25), st.integers(1, 10)), min_size=1, max_size=12),
+    )
+    def test_each_stored_run_is_held_up_by_the_row_below(self, data, fd, requests):
+        # Requests far apart replace stored runs with disjoint ones.  After
+        # every request, raised or not, stored row t >= 1 over [s, e) needs
+        # row t - 1 to hold [s, e + 1): a miss walks down only to the first
+        # row that holds its columns.
+        x, y = (
+            SeedRow.cycle(data.draw(st.lists(nonzero_elements(fd), min_size=1, max_size=3)))
+            for _ in range(2)
+        )
+        rows = _FriezeRows(x.value, y.value, FRIEZE_ZERO)
+        for i, d in requests:
+            outcome(rows.get, i, i + d)
+            spans = [(s, s + len(run)) for s, run in zip(rows._starts, rows._runs)]
+            for (lo, hi), (s, e) in zip(spans, spans[1:]):
+                assert lo <= s and e + 1 <= hi
+
     def test_window_does_field_operations_per_column(self, tmp_path, monkeypatch, capsys):
         # Fractional Q(sqrt 5) cycles with y_i >= x_i + x_(i+1), so no entry is
         # zero.  A 20 x 20 window reads 400 entries from under 40 columns: a
