@@ -171,11 +171,16 @@ def _cmd_reconstruct(args) -> _Result:
 # ------------------------------------------------------- frieze and 0-frieze
 
 
-def _window(entry, args, head: dict[str, Any], shift: int = 0) -> _Result:
-    """Rows r = 0..rows-1 of entry(i, i+r+shift), i in [start, start+cols),
-    as a grid or as JSON after the keys in ``head``."""
-    columns = range(args.start, args.start + args.cols)
-    rows = [[entry(i, i + r + shift) for i in columns] for r in range(args.rows)]
+def _entries(entry):
+    """A row reader for :func:`_window` that reads each entry on its own."""
+    return lambda d, lo, hi: [entry(i, i + d) for i in range(lo, hi)]
+
+
+def _window(row, args, head: dict[str, Any], shift: int = 0) -> _Result:
+    """Rows r = 0..rows-1, row(r + shift, start, start + cols) of the
+    entries (i, i+r+shift), as a grid or as JSON after the keys in ``head``."""
+    lo, hi = args.start, args.start + args.cols
+    rows = [row(r + shift, lo, hi) for r in range(args.rows)]
     if args.grid:
         return serialize.render_frieze_grid(rows), True, None
     out = {
@@ -188,7 +193,7 @@ def _window(entry, args, head: dict[str, Any], shift: int = 0) -> _Result:
 
 def _cmd_frieze_gen(args) -> _Result:
     f = _load_frieze(args.seeds)
-    return _window(f.entry, args, {"field": serialize.field_to_json(f.field)})
+    return _window(f.row, args, {"field": serialize.field_to_json(f.field)})
 
 
 def _cmd_frieze_cone(args) -> _Result:
@@ -223,14 +228,14 @@ def _cmd_frieze_period(args) -> _Result:
 
 
 def _cmd_zero_gen(args) -> _Result:
-    return _window(_load_zero(args.seeds).entry, args, {}, shift=-1)
+    return _window(_entries(_load_zero(args.seeds).entry), args, {}, shift=-1)
 
 
 def _cmd_zero_from_frieze(args) -> _Result:
     reach = max(abs(args.start), abs(args.start + args.cols)) + args.rows
     _at_most("window reach max(|start|, |start + cols|) + rows", reach, MAX_EXTENT)
     zf = zerofrieze.from_frieze(_load_frieze(args.seeds), args.k)
-    return _window(zf.entry, args, {"k": args.k}, shift=-1)
+    return _window(_entries(zf.entry), args, {"k": args.k}, shift=-1)
 
 
 def _cmd_zero_check(args) -> _Result:

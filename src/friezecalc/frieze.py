@@ -105,6 +105,13 @@ class InfiniteFrieze:
             return self.field.zero
         return self._rows.get(i, j)
 
+    def row(self, d: int, lo: int, hi: int) -> list[FieldElement]:
+        """``[self.entry(i, i + d) for i in range(lo, hi)]``; a row d >= 3 is
+        read through the engine in one pass."""
+        if d < 3:
+            return [self.entry(i, i + d) for i in range(lo, hi)]
+        return self._rows.row(d - 3, lo, hi)
+
 
 def cone_entries(
     f: InfiniteFrieze, i: int, j: int

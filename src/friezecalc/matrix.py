@@ -201,7 +201,9 @@ class _FriezeRows:
     i, and the row below holds the columns of the run and one more; a
     request whose columns are disjoint from a stored run replaces it and
     drops the rows above.  A request evaluates the missing part of its cone
-    by increasing d, then i.
+    by increasing d, then i, each row's new cells (a left extension before
+    a right one) by one call of the kernel :meth:`_cells`, which
+    :meth:`row` also calls to read a row as requests in turn would.
     A cell reads e(i,j-1), y(j-2), e(i,j-2), x(j-1), x(j-2), in row d = 3
     y(i), y(i+1), x(i), x(i+2), x(i+1) as the diamond rule did; once its
     column has factors it skips the seed reads, which succeeded then and are
@@ -236,65 +238,86 @@ class _FriezeRows:
             # Row t of the cone needs columns [i, i + r - t + 1).  Each
             # stored row t >= 1 runs over [s, e) with row t - 1 holding
             # [s, e + 1), so the first row down from r that holds its
-            # columns holds the cone below it.
+            # columns holds the cone below it.  A run replaced by a disjoint
+            # one takes the rows above it along, whose runs it held up.
             t = r
             while t >= 0 and (
                 t >= len(runs) or not (starts[t] <= i and i + r - t + 1 <= starts[t] + len(runs[t]))
             ):
                 t -= 1
             for t in range(t + 1, r + 1):
-                self._cover(t, i, i + r - t + 1)
+                hi = i + r - t + 1
+                if t == len(runs) or hi < starts[t] or i > starts[t] + len(runs[t]):
+                    del starts[t:], runs[t:]
+                    starts.append(i)
+                    runs.append([])
+                start, run = starts[t], runs[t]
+                if i < start:
+                    run[:0] = self._cells(t, i, start, [])
+                    start = starts[t] = i
+                if start + len(run) < hi:
+                    run += self._cells(t, start + len(run), hi, [])
         v, den, fd = runs[r][i - starts[r]]
         return fd.from_lattice(v, den)
 
-    def _cover(self, r: int, lo: int, hi: int) -> None:
-        """Make row r hold columns [lo, hi), computing the missing ones in
-        order; row r - 1 holds [lo, hi + 1) already.  A run replaced by a
-        disjoint one takes the rows above it along, whose runs it held up."""
-        if r == len(self._runs):
-            self._starts.append(lo)
-            self._runs.append([])
-        start, run = self._starts[r], self._runs[r]
-        stop = start + len(run)
-        if hi < start or lo > stop:
-            del self._starts[r + 1:], self._runs[r + 1:]
-            start = stop = self._starts[r] = lo
-            run = self._runs[r] = []
-        if lo < start:
-            run[:0] = self._cells(r, lo, start)
-            self._starts[r] = lo
-        if stop < hi:
-            run.extend(self._cells(r, stop, hi))
-
-    def _row(self, r: int):
-        if r < 0:
-            return self._seeds.__getitem__
-        start, run = self._starts[r], self._runs[r]
-        return lambda i: run[i - start]
-
-    def _cells(self, r: int, lo: int, hi: int) -> list[tuple]:
-        # Row d = 3 reads the seeds y(i), x(i) as elements and clears them.
-        up, up2 = (self._y, self._x) if r == 0 else (self._row(r - 1), self._row(r - 2))
-        x, y, steps, seeds = self._x, self._y, self._steps, self._seeds
+    def row(self, r: int, lo: int, hi: int) -> list[FieldElement]:
+        """``[self.get(i, i + r + 3) for i in range(lo, hi)]`` in one pass.
+        While row r ends at i and row r - 1 holds [i, i + 2), get(i, i+r+3)
+        computes only its own cell, so one :meth:`_cells` call appends that
+        whole stretch to row r, the cells before a zero stored as by get."""
+        starts, runs = self._starts, self._runs
         out = []
+        while lo < hi:
+            if r < len(runs) and 0 <= lo - starts[r] < len(runs[r]):
+                start, run = starts[r], runs[r]
+                stop = min(hi, start + len(run))
+                out += [fd.from_lattice(v, den) for v, den, fd in run[lo - start:stop - start]]
+                lo = stop
+                continue
+            end = hi if r == 0 else lo
+            if 0 < r <= len(runs) and starts[r - 1] <= lo:
+                end = min(hi, starts[r - 1] + len(runs[r - 1]) - 1)
+            if end > lo and (r == len(runs) or starts[r] + len(runs[r]) == lo):
+                if r == len(runs):
+                    starts.append(lo)
+                    runs.append([])
+                self._cells(r, lo, end, runs[r])
+            else:
+                out.append(self.get(lo, lo + r + 3))
+                lo += 1
+        return out
+
+    def _cells(self, r: int, lo: int, hi: int, out: list) -> list:
+        """Append the cells e(i, i+r+3), i in [lo, hi), to ``out`` one by one
+        and return it; rows r - 1 and r - 2 hold the columns they read."""
+        x, y, steps, seeds = self._x, self._y, self._steps, self._seeds
+        if r:
+            up, o1 = self._runs[r - 1], self._starts[r - 1]
+            up2, o2 = (seeds, 0) if r == 1 else (self._runs[r - 2], self._starts[r - 2])
         for i in range(lo, hi):
             j = i + r + 3
             step = steps.get(j)
             if step is None:
-                left, yj, right, xj, div = up(i), y(j - 2), up2(i), x(j - 1), x(j - 2)
+                # Row d = 3 reads the seeds y(i), x(i) as elements.
+                left = up[i - o1] if r else y(i)
+                yj = y(j - 2)
+                right = up2[i - o2] if r else x(i)
+                xj, div = x(j - 1), x(j - 2)
                 s0, s1 = yj / div, xj / div
                 cf = _join(s0.field, s1.field)
                 den, [(a, b)] = cf.lattice([(s0, s1)])
                 step = steps[j] = (a, b, den, cf)
+            elif r:
+                left, right = up[i - o1], up2[i - o2]
             else:
-                left, right = up(i), up2(i)
+                left, right = y(i), x(i)
             a, b, s, cf = step
-            if r == 0:
+            if r:
+                (lv, lm, lf), (rv, _, rf) = left, right
+            else:
                 lf = rf = _join(left.field, right.field)
                 lm, [(lv, rv)] = lf.lattice([(left, right)])
                 seeds[i] = (lv, lm, lf)
-            else:
-                (lv, lm, lf), (rv, _, rf) = left, right
             fd = cf
             if not (lf is rf is cf):
                 fd = _join(lf, cf)  # the field of e(i,j-2) is in that of e(i,j-1)

@@ -27,7 +27,7 @@ import math
 from typing import Callable, Mapping
 
 from .errors import FactorizationImpossibleError, ZeroEntryError
-from .field import FieldDescriptor, FieldElement, _join
+from .field import FieldDescriptor, FieldElement, _element, _join
 from .frieze import InfiniteFrieze, SeedRow
 from .matrix import (
     RULE_ZERO_DIAMOND,
@@ -86,11 +86,13 @@ class ZeroFrieze:
     starting from v_i cleared over its own denominator, where g is the gcd
     of M(i,j-1)*S_j and the coefficients of N(i,j-1)*A_j.  The products are
     exact in Z or Z[sqrt(d)] and Z, and g divides both sides, so N/M is
-    t[i,j] itself; a cell takes one gcd and no field element, and the
-    element N/M is built only when it is read.  The gcd keeps a cell as
-    small as its value: the steps of the 0-frieze of a frieze f at k'
-    telescope, v_k/u_k = f[k',k'+k-1]/f[k',k'+k-2] for k >= 3, and without
-    it N and M would carry every cancelled factor.
+    t[i,j] itself; a cell takes one gcd and no field element.  N/M is also
+    the element's own form, M > 0 and gcd(p, q, M) = 1 for N = p + q*sqrt(d)
+    (a row starts at v_i's own ints, and each step divides by the full gcd),
+    so :meth:`entry` builds the element from N and M with no reduction.
+    The gcd keeps a cell as small as its value: the steps of the 0-frieze
+    of a frieze f at k' telescope, v_k/u_k = f[k',k'+k-1]/f[k',k'+k-2] for
+    k >= 3, and without it N and M would carry every cancelled factor.
     Each value is cleared over its own field and a cell keeps the field
     that the product of elements would give it, the join of the seeds it
     reads (an int meeting a pair is read as the pair (v, 0)).  No entry is
@@ -151,7 +153,7 @@ class ZeroFrieze:
                     n = (n0, n1)
                 row.append((n, m, fd))
         v, den, fd = row[j - i]
-        return fd.from_lattice(v, den)
+        return _element(v, 0, den, fd) if fd.d is None else _element(*v, den, fd)
 
 
 def from_frieze(f: InfiniteFrieze, k: int) -> ZeroFrieze:

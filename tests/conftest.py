@@ -27,7 +27,7 @@ from friezecalc import (
 )
 from friezecalc.field import _join
 from friezecalc.generators import random_frieze_matrix
-from friezecalc.matrix import SeedData, _square_grid
+from friezecalc.matrix import SeedData, _det2, _square_grid
 from friezecalc.zerofrieze import _nonzero
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -408,3 +408,115 @@ class ProductZeroFrieze:
                 step = self._steps[k] = self.v(k) / self.u(k)
             row.append(row[-1] * step)
         return row[j - i]
+
+
+class ReferenceRows:
+    """The frieze row engine as it was before its cells were computed by one
+    kernel, with each missing row extended by ``_cover`` and each row read
+    through a ``_row`` closure: the reference for ``matrix._FriezeRows``.
+
+    Same rule, cell order, seed reads, errors and stored runs: rows d = 3 + r
+    as runs ``_starts[r]``, ``_runs[r]`` of (N, M, field) cells, where N/M is
+    e(i, i + d) over the lattice of the row's denominator chain.  The new
+    row read is pinned against ``[get(i, i + r + 3) for i in range(lo, hi)]``.
+    """
+
+    __slots__ = ("_x", "_y", "_zero_message", "_starts", "_runs", "_steps", "_seeds")
+
+    def __init__(self, x, y, zero_message: str):
+        self._x = x
+        self._y = y
+        self._zero_message = zero_message
+        # Row d = 3 + r holds (N, M, field) of e(i, i+d) for i in
+        # [_starts[r], _starts[r] + len(_runs[r])).
+        self._starts: list[int] = []
+        self._runs: list[list[tuple]] = []
+        # Column j -> (A_j, B_j, S_j, field).
+        self._steps: dict[int, tuple] = {}
+        # i -> (N, M, field) of y(i), over the M of its row.
+        self._seeds: dict[int, tuple] = {}
+
+    def get(self, i: int, j: int) -> FieldElement:
+        """e(i, j) for j - i >= 1."""
+        r = j - i - 3
+        if r < 0:
+            return self._x(i) if r == -2 else self._y(i)
+        starts, runs = self._starts, self._runs
+        if r >= len(runs) or not 0 <= i - starts[r] < len(runs[r]):
+            # Row t of the cone needs columns [i, i + r - t + 1).  Each
+            # stored row t >= 1 runs over [s, e) with row t - 1 holding
+            # [s, e + 1), so the first row down from r that holds its
+            # columns holds the cone below it.
+            t = r
+            while t >= 0 and (
+                t >= len(runs) or not (starts[t] <= i and i + r - t + 1 <= starts[t] + len(runs[t]))
+            ):
+                t -= 1
+            for t in range(t + 1, r + 1):
+                self._cover(t, i, i + r - t + 1)
+        v, den, fd = runs[r][i - starts[r]]
+        return fd.from_lattice(v, den)
+
+    def _cover(self, r: int, lo: int, hi: int) -> None:
+        """Make row r hold columns [lo, hi), computing the missing ones in
+        order; row r - 1 holds [lo, hi + 1) already.  A run replaced by a
+        disjoint one takes the rows above it along, whose runs it held up."""
+        if r == len(self._runs):
+            self._starts.append(lo)
+            self._runs.append([])
+        start, run = self._starts[r], self._runs[r]
+        stop = start + len(run)
+        if hi < start or lo > stop:
+            del self._starts[r + 1:], self._runs[r + 1:]
+            start = stop = self._starts[r] = lo
+            run = self._runs[r] = []
+        if lo < start:
+            run[:0] = self._cells(r, lo, start)
+            self._starts[r] = lo
+        if stop < hi:
+            run.extend(self._cells(r, stop, hi))
+
+    def _row(self, r: int):
+        if r < 0:
+            return self._seeds.__getitem__
+        start, run = self._starts[r], self._runs[r]
+        return lambda i: run[i - start]
+
+    def _cells(self, r: int, lo: int, hi: int) -> list[tuple]:
+        # Row d = 3 reads the seeds y(i), x(i) as elements and clears them.
+        up, up2 = (self._y, self._x) if r == 0 else (self._row(r - 1), self._row(r - 2))
+        x, y, steps, seeds = self._x, self._y, self._steps, self._seeds
+        out = []
+        for i in range(lo, hi):
+            j = i + r + 3
+            step = steps.get(j)
+            if step is None:
+                left, yj, right, xj, div = up(i), y(j - 2), up2(i), x(j - 1), x(j - 2)
+                s0, s1 = yj / div, xj / div
+                cf = _join(s0.field, s1.field)
+                den, [(a, b)] = cf.lattice([(s0, s1)])
+                step = steps[j] = (a, b, den, cf)
+            else:
+                left, right = up(i), up2(i)
+            a, b, s, cf = step
+            if r == 0:
+                lf = rf = _join(left.field, right.field)
+                lm, [(lv, rv)] = lf.lattice([(left, right)])
+                seeds[i] = (lv, lm, lf)
+            else:
+                (lv, lm, lf), (rv, _, rf) = left, right
+            fd = cf
+            if not (lf is rf is cf):
+                fd = _join(lf, cf)  # the field of e(i,j-2) is in that of e(i,j-1)
+                lv, rv, a, b = (
+                    v if f.d == fd.d else (v, 0) for v, f in ((lv, lf), (rv, rf), (a, cf), (b, cf))
+                )
+            d = fd.d
+            if r:
+                k = steps[j - 1][2]
+                b = b * k if d is None else (b[0] * k, b[1] * k)
+            v = _det2(lv, a, rv, b, d)
+            if not (v if d is None else v[0] or v[1]):
+                raise ZeroEntryError((i, j), self._zero_message.format(i=i, j=j))
+            out.append((v, lm * s, fd))
+        return out

@@ -29,13 +29,14 @@ from friezecalc import (
     validate,
 )
 from friezecalc import cli
-from friezecalc.field import FieldElement
+from friezecalc.field import FieldElement, format_element
 from friezecalc.matrix import SeedData, _FriezeRows
 from friezecalc.serialize import frieze_seeds_from_json
 
 from conftest import (
     FRIEZE_ZERO,
     Q5,
+    ReferenceRows,
     diamond_frieze_entry,
     el5,
     entry_requests,
@@ -67,22 +68,18 @@ class CountingRow(SeedRow):
         return super().value(i)
 
 
-class CountingRows(_FriezeRows):
-    """The row engine, counting its ``_cover`` calls and the cells it computes."""
+def stored_cells(rows) -> set:
+    """The cells (i, i + 3 + r) that the engine ``rows`` holds."""
+    return {
+        (i, i + 3 + r)
+        for r, (start, run) in enumerate(zip(rows._starts, rows._runs))
+        for i in range(start, start + len(run))
+    }
 
-    __slots__ = ("covers", "cells")
 
-    def __init__(self, x, y, zero_message):
-        super().__init__(x, y, zero_message)
-        self.covers = self.cells = 0
-
-    def _cover(self, r, lo, hi):
-        self.covers += 1
-        super()._cover(r, lo, hi)
-
-    def _cells(self, r, lo, hi):
-        self.cells += hi - lo
-        return super()._cells(r, lo, hi)
+def spans(rows) -> list:
+    """The columns [s, e) of each stored row of the engine ``rows``."""
+    return [(s, s + len(run)) for s, run in zip(rows._starts, rows._runs)]
 
 
 def const_frieze(xv=2, yv=3) -> InfiniteFrieze:
@@ -422,21 +419,95 @@ class TestEngine:
                     assert with_field(m.entry)(i, j) == with_field(reference)(i, j)
         assert RATIONAL in fields
 
-    def test_row_by_row_window_covers_only_rows_that_miss(self):
-        # Read as `frieze gen` reads a window, a missing cell of row d is
-        # almost always missing from row d alone: the rows below already hold
-        # its cone's columns, so only rows that lack a column are extended.
+    @pytest.mark.parametrize("by", ["entry", "row", "cone"])
+    def test_each_cell_is_computed_once(self, by):
+        # Read as `frieze gen` reads a window, depth by depth, cell by cell or
+        # a depth row at a time, or as `frieze cone` reads a cone, row-major:
+        # no stored cell is ever dropped, and at the end the engine holds the
+        # cells of the cones read and no others.  Every cell it computes is
+        # stored, so each of those cells was computed exactly once.
         seeds = frieze_seeds_from_json({
             "field": {"kind": "quadratic", "d": 5},
             "x": {"cycle": ["2", "1/2 + sqrt(5)", "3/2"]},
             "y": {"cycle": ["9", "15/2 + sqrt(5)"]},
         })
         f = InfiniteFrieze(seeds)
-        rows = f._rows = CountingRows(seeds.x.value, seeds.y.value, FRIEZE_ZERO)
-        for r in range(40):
-            for i in range(40):
-                f.entry(i, i + r)
-        assert 0 < rows.covers <= rows.cells
+        held = set()
+
+        def check(value):
+            nonlocal held
+            now = stored_cells(f._rows)
+            assert held <= now
+            held = now
+            return value
+
+        if by == "cone":
+            entry = f.entry
+            f.entry = lambda i, j: check(entry(i, j))
+            cone_entries(f, 0, 40)
+            # The cone of (0, 40), below the seed rows.
+            expected = {(a, b) for a in range(41) for b in range(a + 3, 41)}
+        else:
+            for d in range(40):
+                if by == "row":
+                    check(f.row(d, 0, 40))
+                else:
+                    for i in range(40):
+                        check(f.entry(i, i + d))
+            # The cones of the window's deepest row hold those of the rest.
+            expected = {
+                (a, b) for i in range(40) for a in range(i, i + 40) for b in range(a + 3, i + 40)
+            }
+        assert held == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.data(),
+        pin_fields,
+        st.lists(
+            st.tuples(
+                st.sampled_from(["entry", "row", "cone"]),
+                st.integers(-6, 6),
+                st.integers(0, 9),
+                st.integers(0, 12),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_engine_matches_reference_rows(self, data, fd, requests):
+        # Small-integer seeds make zero entries likely, and table seeds give x
+        # and y windows of their own.  Single reads, depth-row reads and cone
+        # reads in any order give the reference engine's values, fields and
+        # text, or its error, and leave the same stored runs after each one.
+        def elements(f):
+            b = st.integers(-1, 1) if f.d is not None else st.just(0)
+            small = st.builds(f.element, st.integers(-2, 3), b).filter(lambda e: not e.is_zero)
+            return st.one_of(mixed_elements(f), small)
+
+        x, y = data.draw(seed_rows(fd, elements)), data.draw(seed_rows(fd, elements))
+        f, ref = InfiniteFrieze(FriezeSeeds(x, y, fd)), InfiniteFrieze(FriezeSeeds(x, y, fd))
+        ref._rows = ReferenceRows(x.value, y.value, FRIEZE_ZERO)
+
+        def read(fn):
+            try:
+                got = fn()
+            except Exception as exc:  # errors are part of the outcome
+                return type(exc).__name__, getattr(exc, "indices", getattr(exc, "index", None)), str(exc)
+            return [(e, e.field, format_element(e)) for e in got]
+
+        for kind, i, d, width in requests:
+            if kind == "entry":
+                got = read(lambda: [f.entry(i, i + d)])
+                expected = read(lambda: [ref.entry(i, i + d)])
+            elif kind == "row":
+                got = read(lambda: f.row(d, i, i + width))
+                expected = read(lambda: [ref.entry(c, c + d) for c in range(i, i + width)])
+            else:
+                got = read(lambda: [v for _, v in cone_entries(f, i, i + d)])
+                expected = read(lambda: [v for _, v in cone_entries(ref, i, i + d)])
+            assert got == expected
+            assert spans(f._rows) == spans(ref._rows)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -456,8 +527,8 @@ class TestEngine:
         rows = _FriezeRows(x.value, y.value, FRIEZE_ZERO)
         for i, d in requests:
             outcome(rows.get, i, i + d)
-            spans = [(s, s + len(run)) for s, run in zip(rows._starts, rows._runs)]
-            for (lo, hi), (s, e) in zip(spans, spans[1:]):
+            held = spans(rows)
+            for (lo, hi), (s, e) in zip(held, held[1:]):
                 assert lo <= s and e + 1 <= hi
 
     def test_window_does_field_operations_per_column(self, tmp_path, monkeypatch, capsys):

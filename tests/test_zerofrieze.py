@@ -27,6 +27,7 @@ from friezecalc import (
     window_cells,
 )
 from friezecalc.cli import run
+from friezecalc.field import format_element
 from friezecalc.generators import random_rational
 from friezecalc.matrix import RULE_ZERO_DIAMOND, SeedData, ValidationReport, Violation
 from friezecalc.serialize import zero_seeds_from_json
@@ -287,14 +288,33 @@ class TestFromFrieze:
 
     def test_cells_are_held_in_lowest_terms(self):
         # The steps v_k/u_k = f[0,k-1]/f[0,k-2] telescope; a cell that kept
-        # the factors they cancel would grow with its row.
+        # the factors they cancel would grow with its row.  Every stored cell
+        # is (p + q*sqrt(d))/den with den > 0 and gcd(p, q, den) = 1, the
+        # element's own form, so `entry` builds the element from it as it is:
+        # over Q(sqrt 5), over Q, and on rows that start in Q and join
+        # Q(sqrt 5) at their first step held there (u over Q, v over Q(sqrt 5)).
         x = SeedRow.cycle([el5("3/2 + 1/2*sqrt(5)"), rat(Fraction(5, 3))])
         y = SeedRow.cycle([el5("9 + sqrt(5)"), el5("8 + 1/3*sqrt(5)")])
-        zf = from_frieze(InfiniteFrieze(FriezeSeeds(x, y, Q5)), 0)
-        window_cells(zf, 0, 12, 12)
-        for row in zf._rows.values():
-            for v, den, fd in row:
-                assert math.gcd(*(v if fd.d else (v,)), den) == 1
+        qx = SeedRow.cycle([rat(Fraction(3, 2)), rat(Fraction(5, 3))])
+        qy = SeedRow.cycle([rat(9), rat(Fraction(25, 3))])
+        u = SeedRow.cycle([rat(Fraction(-2, 3)), rat(4), rat(Fraction(6, 5))])
+        v = SeedRow.cycle([rat(Fraction(9, 4)), el5("1/2 + 3/2*sqrt(5)"), rat(6), rat(Fraction(3, 7))])
+        joined = False
+        for zf in (
+            from_frieze(InfiniteFrieze(FriezeSeeds(x, y, Q5)), 0),
+            from_frieze(InfiniteFrieze(FriezeSeeds(qx, qy, RATIONAL)), 0),
+            ZeroFrieze(u, v, Q5),
+        ):
+            window_cells(zf, 0, 12, 12)
+            for i, row in zf._rows.items():
+                joined = joined or row[0][2] == RATIONAL != row[-1][2]
+                for j, (n, den, fd) in enumerate(row, start=i):
+                    p, q = (n, 0) if fd.d is None else n
+                    assert den > 0 and math.gcd(p, q, den) == 1
+                    got, expected = zf.entry(i, j), fd.from_lattice(n, den)
+                    assert got == expected
+                    assert (got.field, format_element(got)) == (fd, format_element(expected))
+        assert joined
 
     def test_u_row_constant(self):
         tk = from_frieze(const_frieze(), 0)
