@@ -239,6 +239,9 @@ def _cmd_zero_from_frieze(args) -> _Result:
 
 
 def _cmd_zero_check(args) -> _Result:
+    if args.rows == 1 and args.cols > 1:
+        raise ValueError("--rows must be at least 2 when --cols is more than 1: "
+                         "the cells of the u row alone are not connected")
     zf = _load_zero(args.seeds)
     cells = zerofrieze.window_cells(zf, args.start, args.cols, args.rows)
     report = zerofrieze.check_zero_diamond(cells)
@@ -437,7 +440,10 @@ _COMMANDS: dict[str, tuple[Any, str, str]] = {
                        "--seeds --rows --cols --start --grid"),
     "zerofrieze from-frieze": (_cmd_zero_from_frieze, "derive the 0-frieze of a frieze at k",
                                "--seeds --k --rows --cols --start --grid"),
-    "zerofrieze check": (_cmd_zero_check, "zero-diamond and rank-1 checks on a window",
+    "zerofrieze check": (_cmd_zero_check,
+                         "zero-diamond and rank-1 checks on a window; both hold by construction "
+                         "on seeds, so a failure is an engine fault, and exit 1 comes only from "
+                         "a table seed read outside its window",
                          "seeds --rows=6 --cols=10 --start"),
     "cc": (None, "finite integer friezes from quiddity sequences", ""),
     "cc check": (_cmd_cc_check, "determinant check for one quiddity sequence", "--quiddity"),

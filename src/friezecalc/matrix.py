@@ -89,15 +89,37 @@ def _det2(a, b, c, e, d: int | None):
     return (a0 * b0 - c0 * e0 + d * (a1 * b1 - c1 * e1), a0 * b1 + a1 * b0 - c0 * e1 - c1 * e0)
 
 
-def _report_side(fd: FieldDescriptor, v, den: int, entries) -> FieldElement:
-    """v/den, for v a lattice value over fd: one side of a failed relation,
-    held where field arithmetic on the ``entries`` it is computed from would
-    hold it, in the join of their fields."""
-    f = _common_field(entries)
-    if f.d != fd.d:
-        # One of the two fields is Q, so the side is rational: v is p or (p, 0).
-        v = (v, 0) if fd.d is None else v[0]
-    return f.from_lattice(v, den)
+class _Cleared:
+    """``rows`` of entries cleared over their common denominator D (``den``),
+    the lcm of every coefficient denominator: ``grid`` holds D*e for each
+    entry e, an int over Q or a pair (p, q) = p + q*sqrt(d) over Q(sqrt(d)),
+    in ``field``, the join of the entries' fields unless one is given;
+    ``zero`` is the lattice zero.
+
+    Every relation the checks run on a grid has degree 2: each side is a sum
+    of products of two entries.  Scaling every entry by the nonzero integer D
+    keeps zero as zero and scales each side by D^2, so a relation holds on
+    the entries exactly when it holds on the grid, and a side v computed on
+    the grid is v/D^2 on the entries, which :meth:`side` builds.
+    """
+
+    __slots__ = ("field", "d", "den", "grid", "zero")
+
+    def __init__(self, rows, field: FieldDescriptor | None = None):
+        fd = self.field = field if field is not None else _common_field(e for r in rows for e in r)
+        self.d = fd.d
+        self.den, self.grid = fd.lattice(rows)
+        self.zero = 0 if fd.d is None else (0, 0)
+
+    def side(self, v, entries) -> FieldElement:
+        """v/D^2 for a side v computed on the grid: one side of a failed
+        relation, held where field arithmetic on the ``entries`` it reads
+        would hold it, in the join of their fields."""
+        f = _common_field(entries)
+        if f.d != self.d:
+            # One of the two fields is Q, so the side is rational: v is p or (p, 0).
+            v = (v, 0) if self.d is None else v[0]
+        return f.from_lattice(v, self.den**2)
 
 
 class FriezeMatrix:
@@ -365,19 +387,15 @@ def validate(m: FriezeMatrix) -> ValidationReport:
     """Check symmetry, the diagonal rules and every diamond instance.
 
     Every violated rule is reported with both sides of the failed
-    equation; nothing is raised.  The checks run on DM, M scaled by the
-    lcm D of all coefficient denominators (see :func:`check_ptolemy`):
-    equality and zero are unchanged by the scaling, and both sides of a
-    diamond relation have degree 2, so both scale by D^2.  A failing
-    diamond instance reports both sides as the scaled sides over D^2.
+    equation; nothing is raised.  The checks run on the entries cleared by
+    :class:`_Cleared`, where a diamond relation holds exactly when it holds
+    on M.
     """
     n = m.n
-    fd = m.field
-    zero = fd.zero
-    d = fd.d
+    zero = m.field.zero
     rows = m.rows()
-    den, g = fd.lattice(rows)
-    z = 0 if d is None else (0, 0)
+    c = _Cleared(rows, m.field)
+    d, g, z = c.d, c.grid, c.zero
     out: list[Violation] = []
     for i in range(n):
         if g[i][i] != z:
@@ -397,8 +415,8 @@ def validate(m: FriezeMatrix) -> ValidationReport:
             if lhs != rhs:
                 e = m.entry
                 corners = (e(i, j), e(i + 1, j + 1), e(i + 1, j), e(i, j + 1))
-                lhs = _report_side(fd, lhs, den**2, corners)
-                rhs = _report_side(fd, rhs, den**2, (e(i, i + 1), e(j, j + 1)))
+                lhs = c.side(lhs, corners)
+                rhs = c.side(rhs, (e(i, i + 1), e(j, j + 1)))
                 out.append(Violation(RULE_DIAMOND, (i, j), lhs, rhs))
     return ValidationReport(tuple(out))
 
@@ -412,11 +430,8 @@ def check_ptolemy(
     1 <= i <= j <= k <= l <= n, else IndexError); otherwise checks every
     quadruple, equalities included (those hold trivially).
 
-    Both sides have degree 2 in the entries, so scaling every entry by the
-    lcm D of all coefficient denominators scales both by D^2: the relation
-    holds on M exactly when it holds on DM.  The scan runs on DM, held as
-    ints (over Q) or as pairs (p, q) = p + q*sqrt(d) (over Q(sqrt(d))); a
-    failing quadruple reports both sides as its scaled sides over D^2.
+    Both sides have degree 2 in the entries, so the scan runs on the
+    entries cleared by :class:`_Cleared`.
     """
     n = m.n
     if quad is not None:
@@ -428,10 +443,8 @@ def check_ptolemy(
         quads = [(i - 1, j - 1, k - 1, l - 1)]
     else:
         quads = itertools.combinations_with_replacement(range(n), 4)
-    fd = m.field
-    d = fd.d
-    den, g = fd.lattice(m.rows())
-    z = 0 if d is None else (0, 0)
+    c = _Cleared(m.rows(), m.field)
+    d, g, z = c.d, c.grid, c.zero
     out = []
     for i, j, k, l in quads:
         gi, gj = g[i], g[j]
@@ -453,8 +466,8 @@ def check_ptolemy(
             rhs = _det2(gi[j], g[k][l], gi[l], -h if d is None else (-h[0], -h[1]), d)
             i, j, k, l = i + 1, j + 1, k + 1, l + 1
             e = m.entry
-            lhs = _report_side(fd, lhs, den**2, (e(i, k), e(j, l)))
-            rhs = _report_side(fd, rhs, den**2, (e(i, j), e(k, l), e(i, l), e(j, k)))
+            lhs = c.side(lhs, (e(i, k), e(j, l)))
+            rhs = c.side(rhs, (e(i, j), e(k, l), e(i, l), e(j, k)))
             out.append(Violation(RULE_PTOLEMY, (i, j, k, l), lhs, rhs))
     return ValidationReport(tuple(out))
 
@@ -515,8 +528,8 @@ def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
     current pivots, so the trace certifies the prescribed schedule rather
     than generic Gaussian elimination.
 
-    The rows run on the lattice of :func:`check_ptolemy`: work row r is
-    v_r / D_r, with v_r ints or pairs p + q*sqrt(d) and D_r an int, all
+    The rows start on the entries cleared by :class:`_Cleared`: work row r
+    is v_r / D_r, with v_r ints or pairs p + q*sqrt(d) and D_r an int, all
     starting at the common denominator.  The multiplier a/b has a, b in
     that lattice, and a/b = a*conj(b) / N(b) over Q(sqrt(d)) (over Q read
     conj(b) = 1 and N(b) = b), so R_r <- R_r - (a/b)*R_k is the integer
@@ -526,10 +539,9 @@ def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
     """
     n = m.n
     fd = m.field
-    d = fd.d
     rows = m.rows()
-    den, g = fd.lattice(rows)
-    z = 0 if d is None else (0, 0)
+    c = _Cleared(rows, fd)
+    d, den, g, z = c.d, c.den, c.grid, c.zero
     vecs, dens, elems = [g[1], g[0], *g[2:]], [den] * n, [rows[1], rows[0], *rows[2:]]
     mats, steps = [tuple(elems)], ["swap rows 1 and 2"]
     # Stage (k, a_row, b_col, targets): R_i <- R_i - (m[a_row,i]/m[1,b_col])*R_k.
@@ -698,18 +710,14 @@ def check_t_properties(t: TriangularMatrix, m: FriezeMatrix) -> ValidationReport
         t[i,j]t[i+1,j+1] - t[i+1,j]t[i,j+1] = 0 for i >= 2, j >= i+1;
     (b) t[i,i]t[i+1,i+1] + 2*m[i,i+1]*t[i,i+1] = 0 for i >= 2.
 
-    Both are homogeneous of degree 2 in the entries of t and the m[i,i+1],
-    so they run on those entries scaled by their common denominator D, as
-    in :func:`check_ptolemy`; a failure reports its scaled side over D^2.
+    Both have degree 2 in the entries of t and the m[i,i+1], so they run
+    on those entries cleared by :class:`_Cleared`.
     """
     n = t.n
     zero = m.field.zero
     # Row n + 1 holds -2*m[i,i+1] at column i - 1, so (b) is a 2x2 determinant too.
-    rows = t.rows() + (tuple(-2 * m.entry(i, i + 1) for i in range(2, n)),)
-    fd = _common_field(e for r in rows for e in r)
-    d = fd.d
-    den, g = fd.lattice(rows)
-    z = 0 if d is None else (0, 0)
+    c = _Cleared(t.rows() + (tuple(-2 * m.entry(i, i + 1) for i in range(2, n)),))
+    d, g, z = c.d, c.grid, c.zero
     e = t.entry
     out = []
     for i in range(2, n):
@@ -718,13 +726,11 @@ def check_t_properties(t: TriangularMatrix, m: FriezeMatrix) -> ValidationReport
             lhs = _det2(r[j - 1], s[j], s[j - 1], r[j], d)
             if lhs != z:
                 corners = (e(i, j), e(i + 1, j + 1), e(i + 1, j), e(i, j + 1))
-                lhs = _report_side(fd, lhs, den**2, corners)
-                out.append(Violation(RULE_ZERO_DIAMOND, (i, j), lhs, zero))
+                out.append(Violation(RULE_ZERO_DIAMOND, (i, j), c.side(lhs, corners), zero))
     for i in range(2, n):
         lhs = _det2(g[i - 1][i - 1], g[i][i], g[n][i - 2], g[i - 1][i], d)
         if lhs != z:
             # The factor 2 of the relation is held in m.field, as zero is.
             reads = (e(i, i), e(i + 1, i + 1), zero, m.entry(i, i + 1), e(i, i + 1))
-            lhs = _report_side(fd, lhs, den**2, reads)
-            out.append(Violation(RULE_DIAGONAL_RELATION, (i,), lhs, zero))
+            out.append(Violation(RULE_DIAGONAL_RELATION, (i,), c.side(lhs, reads), zero))
     return ValidationReport(tuple(out))

@@ -383,10 +383,12 @@ def det_cofactor(m):
 
 class ProductZeroFrieze:
     """t[i,j] of the 0-frieze with rows u, v as a running product of field
-    elements, t[i,i] = v_i and t[i,j] = t[i,j-1]*(v_j/u_j): the reference for
-    the package's fraction-free rows.  It reads the seeds as the package
-    does, v_i first, then v_k before u_k, each step v_k/u_k once, and keeps
-    each row, so a request may extend an earlier one."""
+    elements, t[i,i] = v_i and t[i,j] = t[i,j-1]*(v_j/u_j).  It is the same
+    algorithm as the package's ``ZeroFrieze``, kept apart from it so that a
+    change to the package's rows is pinned; ``diamond_zero_entry`` is the
+    independent route.  It reads the seeds as the package does, v_i first,
+    then v_k before u_k, each step v_k/u_k once, and keeps each row, so a
+    request may extend an earlier one."""
 
     def __init__(self, u, v):
         self.u = _nonzero(u, "u", -1)

@@ -385,6 +385,21 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be at least 1" in captured.err
 
+    def test_one_row_check_window(self, capsys, monkeypatch):
+        # The u row's cells share no index, so a one-row window of more than
+        # one column cannot be factored; it is refused before any cell is read.
+        def no_cell(*args):
+            raise AssertionError("a cell was computed")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli.zerofrieze.ZeroFrieze, "entry", no_cell)
+            assert run(["zerofrieze", "check", ZERO_EXAMPLE, "--rows", "1", "--cols", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "error: --rows must be at least 2 when --cols is more than 1" in captured.err
+        assert run(["zerofrieze", "check", ZERO_EXAMPLE, "--rows", "1", "--cols", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank1"]["ok"] is True
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -27,7 +28,6 @@ from friezecalc import (
     window_cells,
 )
 from friezecalc.cli import run
-from friezecalc.field import format_element
 from friezecalc.generators import random_rational
 from friezecalc.matrix import RULE_ZERO_DIAMOND, SeedData, ValidationReport, Violation
 from friezecalc.serialize import zero_seeds_from_json
@@ -289,10 +289,10 @@ class TestFromFrieze:
     def test_cells_are_held_in_lowest_terms(self):
         # The steps v_k/u_k = f[0,k-1]/f[0,k-2] telescope; a cell that kept
         # the factors they cancel would grow with its row.  Every stored cell
-        # is (p + q*sqrt(d))/den with den > 0 and gcd(p, q, den) = 1, the
-        # element's own form, so `entry` builds the element from it as it is:
-        # over Q(sqrt 5), over Q, and on rows that start in Q and join
-        # Q(sqrt 5) at their first step held there (u over Q, v over Q(sqrt 5)).
+        # is (p + q*sqrt(d))/den with den > 0 and gcd(p, q, den) = 1, and
+        # `entry` returns it as stored: over Q(sqrt 5), over Q, and on rows
+        # that start in Q and join Q(sqrt 5) at their first step held there
+        # (u over Q, v over Q(sqrt 5)).
         x = SeedRow.cycle([el5("3/2 + 1/2*sqrt(5)"), rat(Fraction(5, 3))])
         y = SeedRow.cycle([el5("9 + sqrt(5)"), el5("8 + 1/3*sqrt(5)")])
         qx = SeedRow.cycle([rat(Fraction(3, 2)), rat(Fraction(5, 3))])
@@ -307,13 +307,10 @@ class TestFromFrieze:
         ):
             window_cells(zf, 0, 12, 12)
             for i, row in zf._rows.items():
-                joined = joined or row[0][2] == RATIONAL != row[-1][2]
-                for j, (n, den, fd) in enumerate(row, start=i):
-                    p, q = (n, 0) if fd.d is None else n
-                    assert den > 0 and math.gcd(p, q, den) == 1
-                    got, expected = zf.entry(i, j), fd.from_lattice(n, den)
-                    assert got == expected
-                    assert (got.field, format_element(got)) == (fd, format_element(expected))
+                joined = joined or row[0].field == RATIONAL != row[-1].field
+                for j, cell in enumerate(row, start=i):
+                    assert cell._den > 0 and math.gcd(cell._p, cell._q, cell._den) == 1
+                    assert zf.entry(i, j) is cell
         assert joined
 
     def test_u_row_constant(self):
@@ -446,21 +443,41 @@ class TestLatticeChecks:
             assert settled(rank1_factorize, bad) == settled(field_rank1_factorize, bad)
             assert settled(rank1_factorize, bad)[0] == "ValueError"
 
-    def test_check_makes_few_field_element_operations(self, monkeypatch, capsys):
-        # Cell by cell on field elements this check made 3,155 operator
-        # calls; on the lattice only the steps v_k/u_k and the propagation
-        # of a and b divide field elements.
-        calls = [0]
+    @staticmethod
+    def count_operations(monkeypatch) -> Counter:
+        """Count every field-element operator call, by operator name."""
+        calls: Counter = Counter()
         for name in (
             "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
             "__rmul__", "__truediv__", "__rtruediv__", "inv", "__pow__", "__eq__",
         ):
-            def counted(*args, _op=getattr(FieldElement, name)):
-                calls[0] += 1
+            def counted(*args, _op=getattr(FieldElement, name), _name=name):
+                calls[_name] += 1
                 return _op(*args)
 
             monkeypatch.setattr(FieldElement, name, counted)
+        return calls
+
+    def test_check_makes_few_field_element_operations(self, monkeypatch, capsys):
+        # Over the whole run each cell below the v row is one product and each
+        # step v_k/u_k one division, and the checks divide once per factor
+        # a_i, b_j but a_0 = 1.  A window of R rows and C columns from column
+        # 0 has (R - 2)*C cells below the v row, the steps k = 1 .. C + R - 3,
+        # C factors a_i and C + R - 1 factors b_j.  Cell by cell on field
+        # elements the checks alone made 3,155 operator calls.
+        calls = self.count_operations(monkeypatch)
         seeds = str(FIXTURES / "zerofrieze_s5_seeds.json")
-        assert run(["zerofrieze", "check", seeds, "--rows", "20", "--cols", "20"]) == 0
+        rows = cols = 20
+        assert run(["zerofrieze", "check", seeds, "--rows", str(rows), "--cols", str(cols)]) == 0
         assert '"ok": true' in capsys.readouterr().out
-        assert calls[0] <= 400
+        steps = cols + rows - 3
+        factors = cols - 1 + cols + rows - 1
+        assert calls == {"__mul__": (rows - 2) * cols, "__truediv__": steps + factors}
+
+    def test_checks_divide_once_per_factor(self, monkeypatch):
+        u, v, fd = zero_seeds_from_json(load_fixture("zerofrieze_s5_seeds.json"))
+        cells = window_cells(ZeroFrieze(u, v, fd), -3, 12, 9)
+        calls = self.count_operations(monkeypatch)
+        assert check_zero_diamond(cells).ok
+        a, b = rank1_factorize(cells)
+        assert sum(calls.values()) == calls["__truediv__"] == len(a) - 1 + len(b)
