@@ -21,7 +21,7 @@ from typing import Any
 
 from . import classical, generators, serialize, zerofrieze
 from .errors import FriezeError
-from .field import format_element
+from .field import _format_rows, format_element
 from .frieze import (
     InfiniteFrieze,
     cone_entries,
@@ -132,16 +132,10 @@ def _cmd_triangulate(args) -> _Result:
     out: dict[str, Any] = {"t": serialize.matrix_to_json(t)}
     ok = True
     if trace is not None:
-        # Stages share most element objects and the trace keeps each alive,
-        # so an id names one element: format each once (the text is never "").
-        text: dict[int, str] = {}
+        texts = _format_rows([row for stage in trace.matrices for row in stage])
         out["trace"] = {
             "steps": list(trace.steps),
-            "matrices": [
-                [[text.get(id(e)) or text.setdefault(id(e), format_element(e)) for e in row]
-                 for row in stage]
-                for stage in trace.matrices
-            ],
+            "matrices": [texts[k:k + m.n] for k in range(0, len(texts), m.n)],
         }
         out["trace_matches_closed_form"] = trace.matrices[-1] == t.rows()
         ok = out["trace_matches_closed_form"]
@@ -186,7 +180,7 @@ def _window(row, args, head: dict[str, Any], shift: int = 0) -> _Result:
     out = {
         **head,
         "col_start": args.start,
-        "rows": [[format_element(e) for e in row] for row in rows],
+        "rows": _format_rows(rows),
     }
     return out, True, None
 
@@ -200,12 +194,11 @@ def _cmd_frieze_cone(args) -> _Result:
     _at_most("cone extent j - i", args.j - args.i, MAX_EXTENT)
     f = _load_frieze(args.seeds)
     entries = cone_entries(f, args.i, args.j)
+    [texts] = _format_rows([[v for _, v in entries]])
     out = {
         "i": args.i,
         "j": args.j,
-        "entries": [
-            {"x": x, "y": y, "value": format_element(v)} for (x, y), v in entries
-        ],
+        "entries": [{"x": x, "y": y, "value": t} for ((x, y), _), t in zip(entries, texts)],
     }
     return out, True, f"cone of ({args.i},{args.j}): {len(entries)} entries"
 

@@ -233,6 +233,18 @@ class FieldElement:
 
     __rmul__ = __mul__
 
+    def is_product(self, x: "FieldElement", y: "FieldElement") -> bool:
+        """``self == x * y``, without building the product: with r = sqrt(d)
+        it tests (p_x + q_x*r)*(p_y + q_y*r)*den = (p + q*r)*den_x*den_y in
+        Z[r], component by component, which holds exactly when the elements
+        are equal, since the dens are nonzero and 1, r are independent over
+        Q.  It joins the fields as the product and comparison would."""
+        fd = _join(self.field, _join(x.field, y.field))
+        m = x._den * y._den
+        p = x._p * y._p + (fd.d * x._q * y._q if x._q and y._q else 0)
+        q = x._p * y._q + x._q * y._p
+        return p * self._den == self._p * m and q * self._den == self._q * m
+
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         return _quotient(self.field.one, self)
@@ -357,6 +369,20 @@ def format_element(x: FieldElement, compact: bool = False) -> str:
         return radical(q) if q > 0 else "-" + radical(-q)
     sign = "+" if q > 0 else "-"
     return f"{_rational_text(p, den)}{sep}{sign}{sep}{radical(abs(q))}"
+
+
+def _format_rows(rows, compact: bool = False) -> list[list[str]]:
+    """``[[format_element(e, compact) for e in row] for row in rows]``,
+    formatting each element object once (periodic rows, trace stages and
+    symmetric matrices share objects).  Objects are known by id, and the
+    ids are valid only while the caller holds every element it formats:
+    pass rows that hold their elements, not a generator that makes them.
+    """
+    text: dict[int, str] = {}
+    return [
+        [text.get(id(e)) or text.setdefault(id(e), format_element(e, compact)) for e in row]
+        for row in rows
+    ]
 
 
 # One term of the grammar above, matched again and again from the start of

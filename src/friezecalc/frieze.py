@@ -14,6 +14,7 @@ columns; a zero entry below the second row is an error, raised eagerly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import WindowExceededError
@@ -56,12 +57,30 @@ class SeedRow:
     def table(cls, start: int, values) -> "SeedRow":
         return cls(values, start=start)
 
+    @property
+    def period(self) -> int | None:
+        """The cycle's length, or None for a table."""
+        return len(self.values) if self.start is None else None
+
     def value(self, i: int) -> FieldElement:
         if self.start is None:
             return self.values[i % len(self.values)]
         if not (self.start <= i < self.start + len(self.values)):
             raise WindowExceededError(i, self.start, self.start + len(self.values))
         return self.values[i - self.start]
+
+
+def _joint_period(*rows) -> int | None:
+    """The lcm of the periods of ``rows`` when every one is a SeedRow
+    cycle, else None."""
+    periods = [r.period if isinstance(r, SeedRow) else None for r in rows]
+    return None if None in periods else math.lcm(*periods)
+
+
+# The widest period InfiniteFrieze keeps: a fill computes about P cells a
+# depth, a read within the command line's extent cap (200) at most about
+# 200^2 / 2, so a wider fill could cost far more than the read it serves.
+MAX_KEPT_PERIOD = 200
 
 
 @dataclass(frozen=True)
@@ -84,12 +103,32 @@ class InfiniteFrieze:
     and stored rows are only ever extended or recomputed, so behaviour is
     that of a pure function; instances carry no locks, give each thread its
     own or share read-only.
+
+    When x and y are both cycles, of lcm period P, f[i+P,j+P] = f[i,j]: by
+    induction on j - i, since the recurrence computes f[i,j] from f[i,j-1],
+    f[i,j-2] and seeds at j-1 and j-2, which a shift by P leaves unchanged.
+    The evaluator then keeps, for each depth d >= 3 it reads, the P elements
+    f[c,c+d], c in [0, P), filled by one engine call ``row(d-3, 0, P)``, and
+    reads f[i,i+d] as the kept element of residue i mod P.  A successful
+    fill has computed every depth 3..d on at least P consecutive columns,
+    which meet every residue, so no entry at depth <= d is zero and no read
+    there can fail.  If a fill raises, the period is dropped for good: that
+    read and every later one go to the engine, whose values and errors do
+    not depend on earlier requests, so every error is the engine's own.
+    A period above ``MAX_KEPT_PERIOD`` is never kept: every read goes to
+    the engine, as on table seeds, so a read's cost stays that of its cone.
     """
 
     def __init__(self, seeds: FriezeSeeds):
         self.seeds = seeds
         message = "frieze entry ({i},{j}) is zero; the seeds generate no frieze"
         self._rows = _FriezeRows(seeds.x.value, seeds.y.value, message)
+        period = _joint_period(seeds.x, seeds.y)
+        # None for table seeds, for a period too wide to keep, and once a
+        # fill has raised.
+        self._period = period if period is not None and period <= MAX_KEPT_PERIOD else None
+        # Depth d -> [f[c, c+d] for c in range(P)].
+        self._depths: dict[int, list[FieldElement]] = {}
 
     @property
     def field(self) -> FieldDescriptor:
@@ -98,19 +137,38 @@ class InfiniteFrieze:
     def x(self, i: int) -> FieldElement:
         return self.seeds.x.value(i)
 
+    def _kept(self, d: int) -> list[FieldElement] | None:
+        """The kept row of depth d >= 3, filled on first use, or None when
+        the period is off."""
+        if self._period is None:
+            return None
+        kept = self._depths.get(d)
+        if kept is None:
+            try:
+                kept = self._depths[d] = self._rows.row(d - 3, 0, self._period)
+            except Exception:
+                # The fill's error may lie outside this read's cone: the
+                # engine decides, for this read and every later one.
+                self._period = None
+        return kept
+
     def entry(self, i: int, j: int) -> FieldElement:
         if j < i:
             raise ValueError(f"frieze entries need j >= i, got ({i},{j})")
         if j == i:
             return self.field.zero
-        return self._rows.get(i, j)
+        kept = self._kept(j - i) if j - i > 2 else None
+        return self._rows.get(i, j) if kept is None else kept[i % len(kept)]
 
     def row(self, d: int, lo: int, hi: int) -> list[FieldElement]:
         """``[self.entry(i, i + d) for i in range(lo, hi)]``; a row d >= 3 is
-        read through the engine in one pass."""
+        read from the kept row, or through the engine in one pass."""
         if d < 3:
             return [self.entry(i, i + d) for i in range(lo, hi)]
-        return self._rows.row(d - 3, lo, hi)
+        kept = self._kept(d)
+        if kept is None:
+            return self._rows.row(d - 3, lo, hi)
+        return [kept[i % len(kept)] for i in range(lo, hi)]
 
 
 def cone_entries(

@@ -23,6 +23,7 @@ from .field import (
     RATIONAL,
     FieldDescriptor,
     FieldElement,
+    _format_rows,
     format_element,
     parse_element,
 )
@@ -82,7 +83,7 @@ def matrix_to_json(m: FriezeMatrix) -> dict[str, Any]:
     return {
         "field": field_to_json(m.field),
         "n": m.n,
-        "entries": [[format_element(e) for e in row] for row in m.rows()],
+        "entries": _format_rows(m.rows()),
     }
 
 
@@ -197,7 +198,7 @@ def report_to_json(report: ValidationReport) -> dict[str, Any]:
 def render_frieze_grid(rows: list[list[FieldElement]]) -> str:
     """Frieze layout of the rows of a frieze or 0-frieze window: row r is
     indented r half-cells."""
-    cells = [[format_element(e, compact=True) for e in row] for row in rows]
+    cells = _format_rows(rows, compact=True)
     width = max((len(s) for row in cells for s in row), default=1) + 2
     half = width // 2 or 1
     return "\n".join(
@@ -208,6 +209,6 @@ def render_frieze_grid(rows: list[list[FieldElement]]) -> str:
 
 def render_matrix_grid(m: FriezeMatrix) -> str:
     """Aligned whitespace-separated table of compact entry strings."""
-    cells = [[format_element(e, compact=True) for e in row] for row in m.rows()]
+    cells = _format_rows(m.rows(), compact=True)
     width = max(len(s) for row in cells for s in row)
     return "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)

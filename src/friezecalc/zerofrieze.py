@@ -18,8 +18,8 @@ from typing import Callable, Mapping
 
 from .errors import FactorizationImpossibleError, ZeroEntryError
 from .field import FieldDescriptor, FieldElement
-from .frieze import InfiniteFrieze, SeedRow
-from .matrix import RULE_ZERO_DIAMOND, ValidationReport, Violation, _Cleared, _det2
+from .frieze import InfiniteFrieze, SeedRow, _joint_period
+from .matrix import RULE_ZERO_DIAMOND, ValidationReport, Violation, _Cleared, _common_field, _det2
 
 __all__ = [
     "ZeroFrieze",
@@ -62,6 +62,12 @@ class ZeroFrieze:
     in the join of the fields of the seeds it reads.  No entry is zero: each
     is a product of nonzero seeds.  Evaluation order never changes values or
     errors; same ownership contract as :class:`InfiniteFrieze`.
+
+    When u and v are both :class:`SeedRow` cycles, of lcm period Q, row i
+    is read from the list of row i mod Q: t[i,j] reads seeds and steps at
+    i..j only, which repeat with period Q, so t[i+Q,j+Q] = t[i,j] by the
+    same element operations.  Cycle values are nonzero, so these reads need
+    no fallback: an operation succeeds, or fails first, at every shift alike.
     """
 
     def __init__(self, u, v, field: FieldDescriptor):
@@ -73,12 +79,16 @@ class ZeroFrieze:
         # Row i -> [t[i,i], t[i,i+1], ...]; k -> s_k = v_k/u_k.
         self._rows: dict[int, list[FieldElement]] = {}
         self._steps: dict[int, FieldElement] = {}
+        self._period = _joint_period(u, v)
 
     def entry(self, i: int, j: int) -> FieldElement:
         if j < i - 1:
             raise ValueError(f"0-frieze entries need j >= i-1, got ({i},{j})")
         if j == i - 1:
             return self.u(i)
+        if self._period is not None:
+            shift = i - i % self._period
+            i, j = i - shift, j - shift
         row = self._rows.get(i)
         if row is None:
             row = self._rows[i] = [self.v(i)]
@@ -185,11 +195,11 @@ def rank1_factorize(
     there only through a fault in the running product.
 
     a and b are propagated along the cells by field division, one division
-    per factor.  The closing check t[i,j] = a_i*b_j, over every cell in
-    sorted order, runs on the cells, a and b cleared together by
-    ``matrix._Cleared`` over one D, as G = D*t, A = D*a and B = D*b: with
-    the constant 1 cleared to D it has degree 2, and reads
-    A_i*B_j - G_ij*D = 0, one 2x2 determinant per cell.
+    per factor.  The closing check t[i,j] = a_i*b_j runs over every cell in
+    sorted order, as ``FieldElement.is_product`` on each cell, which tests
+    the product on the elements' own ints without reducing it; the fields of
+    the cells are joined first, so a window mixing two quadratic fields
+    raises there.
     """
     if not cells:
         raise ValueError("empty window")
@@ -213,12 +223,8 @@ def rank1_factorize(
     missing = [(i, j) for (i, j) in cells if i not in a or j not in b]
     if missing:
         raise ValueError(f"window is not connected: cannot reach {missing[0]}")
-    keys = sorted(cells)
-    c = _Cleared([[cells[k] for k in keys], list(a.values()), list(b.values())])
-    d, (g, av, bv) = c.d, c.grid
-    one = c.den if d is None else (c.den, 0)
-    ga, gb = dict(zip(a, av)), dict(zip(b, bv))
-    for (i, j), v in zip(keys, g):
-        if _det2(ga[i], gb[j], v, one, d) != c.zero:
+    _common_field(cells.values())
+    for i, j in sorted(cells):
+        if not cells[i, j].is_product(a[i], b[j]):
             raise FactorizationImpossibleError((i, j))
     return a, b

@@ -284,6 +284,28 @@ class TestArithmetic:
         assert Q5.element(0, 1) ** 2 == Q5.element(5, 0)
         assert RATIONAL.from_int(2) ** -2 == RATIONAL.element(Fraction(1, 4))
 
+    @settings(max_examples=300, deadline=None)
+    @given(elements(), elements(), elements(), st.sampled_from([None, "a", "b"]))
+    def test_is_product_is_the_product_compared(self, x, y, t, target):
+        # t is x*y itself, or x*y moved in one component, when the fields
+        # join; otherwise an unrelated element, so that a mismatch raises.
+        try:
+            xy = x * y
+        except FieldMismatchError:
+            xy = None
+        if xy is not None and target is not None and not xy.field.is_rational:
+            t = xy + (t.a if target == "a" else xy.field.element(0, t.a))
+        elif xy is not None and target is not None:
+            t = xy if target == "a" else xy + t.a
+
+        def settle(fn):
+            try:
+                return fn()
+            except FieldMismatchError as exc:
+                return str(exc)
+
+        assert settle(lambda: t.is_product(x, y)) == settle(lambda: t == x * y)
+
 
 @settings(max_examples=600)
 @given(elements())

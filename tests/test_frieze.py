@@ -19,6 +19,7 @@ from friezecalc import (
     SeedRow,
     WindowExceededError,
     ZeroEntryError,
+    ZeroFrieze,
     build_from_seeds,
     cone_entries,
     det_closed_form,
@@ -29,6 +30,7 @@ from friezecalc import (
     validate,
 )
 from friezecalc import cli
+from friezecalc.frieze import MAX_KEPT_PERIOD
 from friezecalc.field import FieldElement, format_element
 from friezecalc.matrix import SeedData, _FriezeRows
 from friezecalc.serialize import frieze_seeds_from_json
@@ -80,6 +82,30 @@ def stored_cells(rows) -> set:
 def spans(rows) -> list:
     """The columns [s, e) of each stored row of the engine ``rows``."""
     return [(s, s + len(run)) for s, run in zip(rows._starts, rows._runs)]
+
+
+def engine_frieze(seeds: FriezeSeeds) -> InfiniteFrieze:
+    """An evaluator with its period off: every read goes to the engine."""
+    f = InfiniteFrieze(seeds)
+    f._period = None
+    return f
+
+
+def small_elements(fd):
+    """Nonzero elements of ``fd`` with small integer coefficients, so that
+    zero entries are likely."""
+    b = st.integers(-1, 1) if fd.d is not None else st.just(0)
+    return st.builds(fd.element, st.integers(-2, 3), b).filter(lambda e: not e.is_zero)
+
+
+def settle(fn):
+    """The elements ``fn()`` returns with their fields and text (other values
+    as they are), or the type, indices and text of the error it raises."""
+    try:
+        got = fn()
+    except Exception as exc:  # errors are part of the outcome
+        return type(exc).__name__, getattr(exc, "indices", getattr(exc, "index", None)), str(exc)
+    return [(e, e.field, format_element(e)) if isinstance(e, FieldElement) else e for e in got]
 
 
 def const_frieze(xv=2, yv=3) -> InfiniteFrieze:
@@ -425,11 +451,15 @@ class TestEngine:
         # a depth row at a time, or as `frieze cone` reads a cone, row-major:
         # no stored cell is ever dropped, and at the end the engine holds the
         # cells of the cones read and no others.  Every cell it computes is
-        # stored, so each of those cells was computed exactly once.
+        # stored, so each of those cells was computed exactly once.  The
+        # seeds are tables of cycle values over [0, 80), which cover every
+        # read, so that the evaluator reads the engine (on cycles it keeps
+        # one period of each depth).
+        x, y = ["2", "1/2 + sqrt(5)", "3/2"], ["9", "15/2 + sqrt(5)"]
         seeds = frieze_seeds_from_json({
             "field": {"kind": "quadratic", "d": 5},
-            "x": {"cycle": ["2", "1/2 + sqrt(5)", "3/2"]},
-            "y": {"cycle": ["9", "15/2 + sqrt(5)"]},
+            "x": {"table": {"start": 0, "values": [x[k % 3] for k in range(80)]}},
+            "y": {"table": {"start": 0, "values": [y[k % 2] for k in range(80)]}},
         })
         f = InfiniteFrieze(seeds)
         held = set()
@@ -480,32 +510,25 @@ class TestEngine:
         # and y windows of their own.  Single reads, depth-row reads and cone
         # reads in any order give the reference engine's values, fields and
         # text, or its error, and leave the same stored runs after each one.
+        # Both evaluators have their period off, so every read goes to the
+        # engine.
         def elements(f):
-            b = st.integers(-1, 1) if f.d is not None else st.just(0)
-            small = st.builds(f.element, st.integers(-2, 3), b).filter(lambda e: not e.is_zero)
-            return st.one_of(mixed_elements(f), small)
+            return st.one_of(mixed_elements(f), small_elements(f))
 
         x, y = data.draw(seed_rows(fd, elements)), data.draw(seed_rows(fd, elements))
-        f, ref = InfiniteFrieze(FriezeSeeds(x, y, fd)), InfiniteFrieze(FriezeSeeds(x, y, fd))
+        f, ref = engine_frieze(FriezeSeeds(x, y, fd)), engine_frieze(FriezeSeeds(x, y, fd))
         ref._rows = ReferenceRows(x.value, y.value, FRIEZE_ZERO)
-
-        def read(fn):
-            try:
-                got = fn()
-            except Exception as exc:  # errors are part of the outcome
-                return type(exc).__name__, getattr(exc, "indices", getattr(exc, "index", None)), str(exc)
-            return [(e, e.field, format_element(e)) for e in got]
 
         for kind, i, d, width in requests:
             if kind == "entry":
-                got = read(lambda: [f.entry(i, i + d)])
-                expected = read(lambda: [ref.entry(i, i + d)])
+                got = settle(lambda: [f.entry(i, i + d)])
+                expected = settle(lambda: [ref.entry(i, i + d)])
             elif kind == "row":
-                got = read(lambda: f.row(d, i, i + width))
-                expected = read(lambda: [ref.entry(c, c + d) for c in range(i, i + width)])
+                got = settle(lambda: f.row(d, i, i + width))
+                expected = settle(lambda: [ref.entry(c, c + d) for c in range(i, i + width)])
             else:
-                got = read(lambda: [v for _, v in cone_entries(f, i, i + d)])
-                expected = read(lambda: [v for _, v in cone_entries(ref, i, i + d)])
+                got = settle(lambda: [v for _, v in cone_entries(f, i, i + d)])
+                expected = settle(lambda: [v for _, v in cone_entries(ref, i, i + d)])
             assert got == expected
             assert spans(f._rows) == spans(ref._rows)
 
@@ -554,3 +577,128 @@ class TestEngine:
         assert cli.run(argv) == 0
         assert "sqrt(5)" in capsys.readouterr().out
         assert 0 < sum(counts.values()) <= 10 * (20 + 20)
+
+
+class TestPeriodicReads:
+    """Reads of cycle-seeded friezes and 0-friezes from one kept period,
+    pinned to the engine and to rows read without the period."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.data(),
+        pin_fields,
+        st.lists(
+            st.tuples(
+                st.sampled_from(["entry", "row", "cone", "plus", "minus", "period", "zero"]),
+                st.integers(-8, 8),
+                st.integers(0, 9),
+                st.integers(1, 8),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_periodic_reads_match_the_engine(self, data, fd, requests):
+        # Small-integer cycles make zero entries likely: a failed fill must
+        # leave every read, and every later one, to the engine's own values
+        # and errors.  0-frieze rows read from row i mod Q must equal rows
+        # computed at i.
+        elements = st.one_of(small_elements(fd), small_elements(RATIONAL))
+
+        def cycle():
+            return SeedRow.cycle(data.draw(st.lists(elements, min_size=1, max_size=3)))
+
+        seeds = FriezeSeeds(cycle(), cycle(), fd)
+        u, v = cycle(), cycle()
+        f, ref = InfiniteFrieze(seeds), engine_frieze(seeds)
+        zf, zref = ZeroFrieze(u, v, fd), ZeroFrieze(u, v, fd)
+        zref._period = None
+
+        def reads(g, z, kind, i, d, w):
+            if kind == "entry":
+                return [g.entry(i, i + d)]
+            if kind == "row":
+                return g.row(d, i, i + w)
+            if kind == "cone":
+                return [e for _, e in cone_entries(g, i, i + d)]
+            if kind in ("plus", "minus"):
+                m = (extract_m_plus if kind == "plus" else extract_m_minus)(g, i, w + 1)
+                return [e for row in m.rows() for e in row]
+            if kind == "period":
+                return [detect_period(g, w, d + 1, i)]
+            return [z.entry(i, i + d - 1)]
+
+        for request in requests:
+            got = settle(lambda: reads(f, zf, *request))
+            assert got == settle(lambda: reads(ref, zref, *request))
+
+    def test_window_fills_each_depth_once(self):
+        # A 40 x 40 window of cycles of lengths 3 and 2 (P = 6), read as
+        # `frieze gen` reads it, a depth row at a time, then again cell by
+        # cell: each depth d >= 3 takes one engine call for its P residues,
+        # and no entry below the seed rows is read from the engine.
+        seeds = frieze_seeds_from_json({
+            "field": {"kind": "quadratic", "d": 5},
+            "x": {"cycle": ["2", "1/2 + sqrt(5)", "3/2"]},
+            "y": {"cycle": ["9", "15/2 + sqrt(5)"]},
+        })
+        f, ref = InfiniteFrieze(seeds), engine_frieze(seeds)
+        calls = []
+
+        class Recorder:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def row(self, *args):
+                calls.append(("row", *args))
+                return self.rows.row(*args)
+
+            def get(self, i, j):
+                calls.append(("get", i, j))
+                return self.rows.get(i, j)
+
+        f._rows = Recorder(f._rows)
+        window = [f.row(d, 0, 40) for d in range(40)]
+        assert window == [[f.entry(i, i + d) for i in range(40)] for d in range(40)]
+        assert window == [ref.row(d, 0, 40) for d in range(40)]
+        assert [c for c in calls if c[0] == "row"] == [("row", d - 3, 0, 6) for d in range(3, 40)]
+        assert all(j - i < 3 for kind, i, j in (c for c in calls if c[0] == "get"))
+
+    def test_wide_period_reads_only_the_cone(self, tmp_path, monkeypatch, capsys):
+        # Cycles of 1000 and 999 values have P = 999,000.  A period that wide
+        # is not kept, so `frieze cone --i 0 --j 3` computes the cells of its
+        # cone through the engine, as on table seeds, not one per residue.
+        # x_i in {1, 2, 3} and y_i = 10 >= x_i + x_{i+1} keep every entry
+        # positive.
+        doc = {
+            "field": {"kind": "rational"},
+            "x": {"cycle": [str(1 + k % 3) for k in range(1000)]},
+            "y": {"cycle": ["10"] * 999},
+        }
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(doc))
+        cells = []
+        compute = _FriezeRows._cells
+
+        def counted(rows, r, lo, hi, out):
+            cells.append(hi - lo)
+            return compute(rows, r, lo, hi, out)
+
+        monkeypatch.setattr(_FriezeRows, "_cells", counted)
+        assert cli.run(["frieze", "cone", "--seeds", str(path), "--i", "0", "--j", "3"]) == 0
+        assert '"entries"' in capsys.readouterr().out
+        assert 0 < sum(cells) <= 3 * 3
+        assert InfiniteFrieze(frieze_seeds_from_json(doc))._period is None
+
+    def test_period_is_kept_up_to_the_cap(self):
+        def seeds(nx, ny):
+            return FriezeSeeds(
+                SeedRow.cycle([rat(1 + k % 3) for k in range(nx)]),
+                SeedRow.cycle([rat(10)] * ny),
+                RATIONAL,
+            )
+
+        assert InfiniteFrieze(seeds(8, 25))._period == MAX_KEPT_PERIOD == 200
+        assert InfiniteFrieze(seeds(9, 25))._period is None
+        assert SeedRow.table(0, [rat(1)]).period is None
+        assert SeedRow.cycle([rat(1)] * 4).period == 4

@@ -98,7 +98,7 @@ def field_check_zero_diamond(cells):
 
 def field_rank1_factorize(cells):
     """rank1_factorize with its closing check t[i,j] = a_i*b_j on field
-    elements: the reference for the lattice check."""
+    elements: the reference for the check on the elements' ints."""
     if not cells:
         raise ValueError("empty window")
     for idx, val in cells.items():
@@ -391,6 +391,15 @@ class TestRank1:
         with pytest.raises(FactorizationImpossibleError):
             rank1_factorize(cells)
 
+    def test_sqrt_perturbed_cell_detected(self, example_engine):
+        # Adding sqrt(5) to a rational cell leaves the rational component of
+        # the closing check as it was; only the sqrt(5) component fails.
+        cells = window_cells(example_engine, -2, 3, 5)
+        cells[(-1, 0)] = cells[(-1, 0)] + el5("sqrt(5)")
+        with pytest.raises(FactorizationImpossibleError) as info:
+            rank1_factorize(cells)
+        assert info.value.indices == (-1, 0)
+
     def test_zero_cell_rejected(self, example_engine):
         cells = window_cells(example_engine, -2, 3, 4)
         cells[(-1, 0)] = RATIONAL.zero
@@ -461,18 +470,21 @@ class TestLatticeChecks:
     def test_check_makes_few_field_element_operations(self, monkeypatch, capsys):
         # Over the whole run each cell below the v row is one product and each
         # step v_k/u_k one division, and the checks divide once per factor
-        # a_i, b_j but a_0 = 1.  A window of R rows and C columns from column
-        # 0 has (R - 2)*C cells below the v row, the steps k = 1 .. C + R - 3,
-        # C factors a_i and C + R - 1 factors b_j.  Cell by cell on field
-        # elements the checks alone made 3,155 operator calls.
+        # a_i, b_j but a_0 = 1.  The u and v cycles have lengths 3 and 2, so
+        # rows i and i mod 6 are one row: a window of R rows and C >= 6
+        # columns from column 0 computes the (R - 2)*6 cells below the v row
+        # of rows 0..5 and the steps k = 1 .. 5 + R - 2, and it has C factors
+        # a_i and C + R - 1 factors b_j.  Cell by cell on field elements the
+        # checks alone made 3,155 operator calls.
         calls = self.count_operations(monkeypatch)
         seeds = str(FIXTURES / "zerofrieze_s5_seeds.json")
         rows = cols = 20
         assert run(["zerofrieze", "check", seeds, "--rows", str(rows), "--cols", str(cols)]) == 0
         assert '"ok": true' in capsys.readouterr().out
-        steps = cols + rows - 3
+        period = 6
+        steps = period + rows - 3
         factors = cols - 1 + cols + rows - 1
-        assert calls == {"__mul__": (rows - 2) * cols, "__truediv__": steps + factors}
+        assert calls == {"__mul__": (rows - 2) * period, "__truediv__": steps + factors}
 
     def test_checks_divide_once_per_factor(self, monkeypatch):
         u, v, fd = zero_seeds_from_json(load_fixture("zerofrieze_s5_seeds.json"))
