@@ -8,8 +8,8 @@ all other entries nonzero, and every diamond satisfying
 It is determined by its first two nontrivial rows x_i = f[i,i+1] and
 y_i = f[i,i+2].  Entries below them come on demand from the engine shared
 with frieze matrices (``matrix._FriezeRows``), which fills each row by the
-linear recurrence the diamond rule implies and keeps it as one run of
-columns; a zero entry below the second row is an error, raised eagerly.
+linear recurrence the diamond rule implies and keeps it as one list that
+only grows; a zero entry below the second row is an error, raised eagerly.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import WindowExceededError
-from .field import FieldDescriptor, FieldElement
+from .errors import WindowExceededError, ZeroEntryError
+from .field import FieldDescriptor, FieldElement, FieldMismatchError
 from .matrix import FriezeMatrix, _FriezeRows
 
 __all__ = [
@@ -77,10 +77,7 @@ def _joint_period(*rows) -> int | None:
     return None if None in periods else math.lcm(*periods)
 
 
-# The widest period InfiniteFrieze keeps: a fill computes about P cells a
-# depth, a read within the command line's extent cap (200) at most about
-# 200^2 / 2, so a wider fill could cost far more than the read it serves.
-MAX_KEPT_PERIOD = 200
+_ZERO_MESSAGE = "frieze entry ({i},{j}) is zero; the seeds generate no frieze"
 
 
 @dataclass(frozen=True)
@@ -100,35 +97,30 @@ class InfiniteFrieze:
 
         f[i,j] = (f[i,j-1]*y_{j-2} - f[i,j-2]*x_{j-1}) / x_{j-2}
 
-    and stored rows are only ever extended or recomputed, so behaviour is
-    that of a pure function; instances carry no locks, give each thread its
-    own or share read-only.
+    and the evaluator keeps every cell it computed, as
+    ``zerofrieze.ZeroFrieze`` does, so behaviour is that of a pure function;
+    instances carry no locks, give each thread its own or share read-only.
+    Within one command the cells kept are bounded by the window and extent
+    caps.
 
     When x and y are both cycles, of lcm period P, f[i+P,j+P] = f[i,j]: by
     induction on j - i, since the recurrence computes f[i,j] from f[i,j-1],
     f[i,j-2] and seeds at j-1 and j-2, which a shift by P leaves unchanged.
-    The evaluator then keeps, for each depth d >= 3 it reads, the P elements
-    f[c,c+d], c in [0, P), filled by one engine call ``row(d-3, 0, P)``, and
-    reads f[i,i+d] as the kept element of residue i mod P.  A successful
-    fill has computed every depth 3..d on at least P consecutive columns,
-    which meet every residue, so no entry at depth <= d is zero and no read
-    there can fail.  If a fill raises, the period is dropped for good: that
-    read and every later one go to the engine, whose values and errors do
-    not depend on earlier requests, so every error is the engine's own.
-    A period above ``MAX_KEPT_PERIOD`` is never kept: every read goes to
-    the engine, as on table seeds, so a read's cost stays that of its cone.
+    The evaluator then reads f[i,j] as f[i-s,j-s], with s the multiple of P
+    that takes i into [0, P), and keeps the element of each residue and
+    depth it reads.  A shift by P leaves each cell's reads and failures
+    unchanged, so the cone of (i-s, j-s) fails first, in the engine's order,
+    at the shift of the cell where that of (i, j) does: a zero found at
+    (a, b) is raised as the zero at (a+s, b+s).
     """
 
     def __init__(self, seeds: FriezeSeeds):
         self.seeds = seeds
-        message = "frieze entry ({i},{j}) is zero; the seeds generate no frieze"
-        self._rows = _FriezeRows(seeds.x.value, seeds.y.value, message)
-        period = _joint_period(seeds.x, seeds.y)
-        # None for table seeds, for a period too wide to keep, and once a
-        # fill has raised.
-        self._period = period if period is not None and period <= MAX_KEPT_PERIOD else None
-        # Depth d -> [f[c, c+d] for c in range(P)].
-        self._depths: dict[int, list[FieldElement]] = {}
+        self._rows = _FriezeRows(seeds.x.value, seeds.y.value, _ZERO_MESSAGE)
+        # P for cycle seeds, None for tables.
+        self._period = _joint_period(seeds.x, seeds.y)
+        # (c, d) -> f[c, c+d] for c in [0, P) and d >= 3.
+        self._kept: dict[tuple[int, int], FieldElement] = {}
 
     @property
     def field(self) -> FieldDescriptor:
@@ -137,38 +129,40 @@ class InfiniteFrieze:
     def x(self, i: int) -> FieldElement:
         return self.seeds.x.value(i)
 
-    def _kept(self, d: int) -> list[FieldElement] | None:
-        """The kept row of depth d >= 3, filled on first use, or None when
-        the period is off."""
-        if self._period is None:
-            return None
-        kept = self._depths.get(d)
-        if kept is None:
-            try:
-                kept = self._depths[d] = self._rows.row(d - 3, 0, self._period)
-            except Exception:
-                # The fill's error may lie outside this read's cone: the
-                # engine decides, for this read and every later one.
-                self._period = None
-        return kept
-
     def entry(self, i: int, j: int) -> FieldElement:
         if j < i:
             raise ValueError(f"frieze entries need j >= i, got ({i},{j})")
         if j == i:
             return self.field.zero
-        kept = self._kept(j - i) if j - i > 2 else None
-        return self._rows.get(i, j) if kept is None else kept[i % len(kept)]
+        if self._period is None or j - i < 3:
+            return self._rows.get(i, j)
+        c, d = i % self._period, j - i
+        kept = self._kept.get((c, d))
+        if kept is None:
+            try:
+                kept = self._kept[c, d] = self._rows.get(c, c + d)
+            except ZeroEntryError as exc:
+                a, b = (k + i - c for k in exc.indices)
+                raise ZeroEntryError((a, b), _ZERO_MESSAGE.format(i=a, j=b)) from None
+        return kept
 
     def row(self, d: int, lo: int, hi: int) -> list[FieldElement]:
         """``[self.entry(i, i + d) for i in range(lo, hi)]``; a row d >= 3 is
-        read from the kept row, or through the engine in one pass."""
+        read through the engine in one pass, on cycles as one period of
+        residues, repeated."""
         if d < 3:
             return [self.entry(i, i + d) for i in range(lo, hi)]
-        kept = self._kept(d)
-        if kept is None:
+        period = self._period
+        if period is None:
             return self._rows.row(d - 3, lo, hi)
-        return [kept[i % len(kept)] for i in range(lo, hi)]
+        if hi - lo >= period:
+            try:
+                for c, e in enumerate(self._rows.row(d - 3, 0, period)):
+                    self._kept[c, d] = e
+            except (ZeroEntryError, FieldMismatchError):
+                pass  # the reads below raise this row's first error, where it was read
+        head = [self.entry(i, i + d) for i in range(lo, lo + min(hi - lo, period))]
+        return [head[t % period] for t in range(hi - lo)]
 
 
 def cone_entries(
@@ -217,16 +211,15 @@ def detect_period(
 
     The certificate window is rows 1..depth and columns i in
     [col_start, col_start + max_period]; periodicity is certified on that
-    window only, which is all finite data can support.  The shifted side is
-    read through its own evaluator, so once P exceeds the depth the two
-    sides' disjoint columns do not replace each other's stored runs.
+    window only, which is all finite data can support.  Both sides are read
+    through ``f``, which keeps every cell it computed, so each candidate P
+    computes only the cells its shifted side adds.
     """
     if max_period < 1 or depth < 1:
         raise ValueError("max_period and depth must be positive")
-    shifted = InfiniteFrieze(f.seeds)
     for period in range(1, max_period + 1):
         if all(
-            f.entry(i, i + r) == shifted.entry(i + period, i + period + r)
+            f.entry(i, i + r) == f.entry(i + period, i + period + r)
             for r in range(1, depth + 1)
             for i in range(col_start, col_start + max_period + 1)
         ):

@@ -219,142 +219,116 @@ class _FriezeRows:
     field (an int meeting a pair is read as the pair (v, 0)).  Of a field the
     engine asks only ``d``, ``lattice`` and ``from_lattice``.
 
-    Each computed row d = j - i is stored as one run of consecutive columns
-    i, and the row below holds the columns of the run and one more; a
-    request whose columns are disjoint from a stored run replaces it and
-    drops the rows above.  A request evaluates the missing part of its cone
-    by increasing d, then i, each row's new cells (a left extension before
-    a right one) by one call of the kernel :meth:`_cells`, which
-    :meth:`row` also calls to read a row as requests in turn would.
-    A cell reads e(i,j-1), y(j-2), e(i,j-2), x(j-1), x(j-2), in row d = 3
-    y(i), y(i+1), x(i), x(i+2), x(i+1) as the diamond rule did; once its
-    column has factors it skips the seed reads, which succeeded then and are
-    pure, so values and raised errors never depend on earlier requests.  For
-    the same reason row d = 4 takes y(i) as cleared in row d = 3.  A
-    computed zero raises :class:`ZeroEntryError` with
-    ``zero_message.format(i=i, j=j)``.
+    Row i is stored as one list [e(i,i+1), e(i,i+2), e(i,i+3), ...], only
+    ever extended to the right; its cell e(i,i+3) clears the seeds x(i),
+    y(i) over one M as the list's first two entries.  A list holds e(i,j)
+    only while rows i+1..j-3 hold column j, so the cone of a stored cell,
+    every e(a,b) with i <= a <= b <= j, is stored too: a hit is one length
+    check, and nothing stored is ever dropped.  The kernel :meth:`_extend`
+    computes a union of cones row by row, the highest row first.  A read
+    raises the first failure of its cone by increasing d = j - i, then i:
+    when the kernel raises, the read evaluates its cone again in that order,
+    skipping the stored cells.  A cell reads e(i,j-1), y(j-2), e(i,j-2),
+    x(j-1), x(j-2), in row d = 3 y(i), y(i+1), x(i), x(i+2), x(i+1) as the
+    diamond rule did; once its column has factors it skips the seed reads,
+    which succeeded then and are pure, so values and raised errors never
+    depend on earlier requests.  A computed zero raises
+    :class:`ZeroEntryError` with ``zero_message.format(i=i, j=j)``.
     """
 
-    __slots__ = ("_x", "_y", "_zero_message", "_starts", "_runs", "_steps", "_seeds")
+    __slots__ = ("_x", "_y", "_zero_message", "_rows", "_steps")
 
     def __init__(self, x, y, zero_message: str):
         self._x = x
         self._y = y
         self._zero_message = zero_message
-        # Row d = 3 + r holds (N, M, field) of e(i, i+d) for i in
-        # [_starts[r], _starts[r] + len(_runs[r])).
-        self._starts: list[int] = []
-        self._runs: list[list[tuple]] = []
+        # Row i -> (N, M, field) of e(i, i+1), e(i, i+2), e(i, i+3), ...
+        self._rows: dict[int, list[tuple]] = {}
         # Column j -> (A_j, B_j, S_j, field).
         self._steps: dict[int, tuple] = {}
-        # i -> (N, M, field) of y(i), over the M of its row.
-        self._seeds: dict[int, tuple] = {}
 
     def get(self, i: int, j: int) -> FieldElement:
         """e(i, j) for j - i >= 1."""
-        r = j - i - 3
-        if r < 0:
-            return self._x(i) if r == -2 else self._y(i)
-        starts, runs = self._starts, self._runs
-        if r >= len(runs) or not 0 <= i - starts[r] < len(runs[r]):
-            # Row t of the cone needs columns [i, i + r - t + 1).  Each
-            # stored row t >= 1 runs over [s, e) with row t - 1 holding
-            # [s, e + 1), so the first row down from r that holds its
-            # columns holds the cone below it.  A run replaced by a disjoint
-            # one takes the rows above it along, whose runs it held up.
-            t = r
-            while t >= 0 and (
-                t >= len(runs) or not (starts[t] <= i and i + r - t + 1 <= starts[t] + len(runs[t]))
-            ):
-                t -= 1
-            for t in range(t + 1, r + 1):
-                hi = i + r - t + 1
-                if t == len(runs) or hi < starts[t] or i > starts[t] + len(runs[t]):
-                    del starts[t:], runs[t:]
-                    starts.append(i)
-                    runs.append([])
-                start, run = starts[t], runs[t]
-                if i < start:
-                    run[:0] = self._cells(t, i, start, [])
-                    start = starts[t] = i
-                if start + len(run) < hi:
-                    run += self._cells(t, start + len(run), hi, [])
-        v, den, fd = runs[r][i - starts[r]]
+        if j - i < 3:
+            return self._x(i) if j - i == 1 else self._y(i)
+        rows = self._rows
+        row = rows.get(i, ())
+        if len(row) < j - i:
+            # Row t holds column j when it has j - t cells; the rows above
+            # the first one that does hold it too.
+            t = i + 1
+            while t < j - 2 and len(rows.get(t, ())) < j - t:
+                t += 1
+            try:
+                self._extend(i, t, j - i - 3, i + 1)
+            except Exception:
+                # Raise the cone's first failure by increasing d, then i.
+                for d in range(3, j - i + 1):
+                    for a in range(i, j - d + 1):
+                        if len(rows.get(a, ())) < d:
+                            self._extend(a, a + 1, d - 3, a + 1)
+                raise
+            row = rows[i]
+        v, den, fd = row[j - i - 1]
         return fd.from_lattice(v, den)
 
     def row(self, r: int, lo: int, hi: int) -> list[FieldElement]:
-        """``[self.get(i, i + r + 3) for i in range(lo, hi)]`` in one pass.
-        While row r ends at i and row r - 1 holds [i, i + 2), get(i, i+r+3)
-        computes only its own cell, so one :meth:`_cells` call appends that
-        whole stretch to row r, the cells before a zero stored as by get."""
-        starts, runs = self._starts, self._runs
-        out = []
-        while lo < hi:
-            if r < len(runs) and 0 <= lo - starts[r] < len(runs[r]):
-                start, run = starts[r], runs[r]
-                stop = min(hi, start + len(run))
-                out += [fd.from_lattice(v, den) for v, den, fd in run[lo - start:stop - start]]
-                lo = stop
-                continue
-            end = hi if r == 0 else lo
-            if 0 < r <= len(runs) and starts[r - 1] <= lo:
-                end = min(hi, starts[r - 1] + len(runs[r - 1]) - 1)
-            if end > lo and (r == len(runs) or starts[r] + len(runs[r]) == lo):
-                if r == len(runs):
-                    starts.append(lo)
-                    runs.append([])
-                self._cells(r, lo, end, runs[r])
-            else:
-                out.append(self.get(lo, lo + r + 3))
-                lo += 1
-        return out
+        """``[self.get(i, i + r + 3) for i in range(lo, hi)]``, their cones
+        computed in one kernel call."""
+        if hi <= lo:
+            return []
+        try:
+            self._extend(lo, hi + r, r, hi)
+        except Exception:
+            # Each read raises as it would alone, so the first failing one does.
+            return [self.get(i, i + r + 3) for i in range(lo, hi)]
+        rows = self._rows
+        return [fd.from_lattice(v, den) for v, den, fd in (rows[i][r + 2] for i in range(lo, hi))]
 
-    def _cells(self, r: int, lo: int, hi: int, out: list) -> list:
-        """Append the cells e(i, i+r+3), i in [lo, hi), to ``out`` one by one
-        and return it; rows r - 1 and r - 2 hold the columns they read."""
-        x, y, steps, seeds = self._x, self._y, self._steps, self._seeds
-        if r:
-            up, o1 = self._runs[r - 1], self._starts[r - 1]
-            up2, o2 = (seeds, 0) if r == 1 else (self._runs[r - 2], self._starts[r - 2])
-        for i in range(lo, hi):
-            j = i + r + 3
-            step = steps.get(j)
-            if step is None:
-                # Row d = 3 reads the seeds y(i), x(i) as elements.
-                left = up[i - o1] if r else y(i)
-                yj = y(j - 2)
-                right = up2[i - o2] if r else x(i)
-                xj, div = x(j - 1), x(j - 2)
-                s0, s1 = yj / div, xj / div
-                cf = _join(s0.field, s1.field)
-                den, [(a, b)] = cf.lattice([(s0, s1)])
-                step = steps[j] = (a, b, den, cf)
-            elif r:
-                left, right = up[i - o1], up2[i - o2]
-            else:
-                left, right = y(i), x(i)
-            a, b, s, cf = step
-            if r:
-                (lv, lm, lf), (rv, _, rf) = left, right
-            else:
-                lf = rf = _join(left.field, right.field)
-                lm, [(lv, rv)] = lf.lattice([(left, right)])
-                seeds[i] = (lv, lm, lf)
-            fd = cf
-            if not (lf is rf is cf):
-                fd = _join(lf, cf)  # the field of e(i,j-2) is in that of e(i,j-1)
-                lv, rv, a, b = (
-                    v if f.d == fd.d else (v, 0) for v, f in ((lv, lf), (rv, rf), (a, cf), (b, cf))
-                )
-            d = fd.d
-            if r:
-                k = steps[j - 1][2]
-                b = b * k if d is None else (b[0] * k, b[1] * k)
-            v = _det2(lv, a, rv, b, d)
-            if not (v if d is None else v[0] or v[1]):
-                raise ZeroEntryError((i, j), self._zero_message.format(i=i, j=j))
-            out.append((v, lm * s, fd))
-        return out
+    def _extend(self, lo: int, hi: int, r: int, end: int) -> None:
+        """Extend each row i in [lo, hi), the highest first, to the column
+        min(i, end - 1) + r + 3: the union of the cones of e(c, c + r + 3)
+        for c < end.  Rows i + 1 .. j - 3 hold each column j that row i
+        gets, by the list invariant or because they came first."""
+        x, y, steps, rows = self._x, self._y, self._steps, self._rows
+        for i in range(hi - 1, lo - 1, -1):
+            row = rows.get(i)
+            stop = (i if i < end else end - 1) + r + 4
+            for j in range(i + 1 + len(row) if row else i + 3, stop):
+                # A row's first cell e(i, i+3) reads the seeds y(i), x(i) as
+                # elements and clears them over one M, as its first entries.
+                step = steps.get(j)
+                left = y(i) if row is None else row[-1]
+                yj = y(j - 2) if step is None else None
+                right = x(i) if row is None else row[-2]
+                if step is None:
+                    xj, div = x(j - 1), x(j - 2)
+                    s0, s1 = yj / div, xj / div
+                    cf = _join(s0.field, s1.field)
+                    den, [(a, b)] = cf.lattice([(s0, s1)])
+                    step = steps[j] = (a, b, den, cf)
+                a, b, s, cf = step
+                if row is None:
+                    lf = rf = _join(left.field, right.field)
+                    lm, [(lv, rv)] = lf.lattice([(left, right)])
+                    row = rows[i] = [(rv, lm, lf), (lv, lm, lf)]
+                else:
+                    (lv, lm, lf), (rv, _, rf) = left, right
+                fd = cf
+                if not (lf is rf is cf):
+                    fd = _join(lf, cf)  # the field of e(i,j-2) is in that of e(i,j-1)
+                    lv, rv, a, b = (
+                        v if f.d == fd.d else (v, 0)
+                        for v, f in ((lv, lf), (rv, rf), (a, cf), (b, cf))
+                    )
+                d = fd.d
+                if j - i > 3:
+                    k = steps[j - 1][2]
+                    b = b * k if d is None else (b[0] * k, b[1] * k)
+                v = _det2(lv, a, rv, b, d)
+                if not (v if d is None else v[0] or v[1]):
+                    raise ZeroEntryError((i, j), self._zero_message.format(i=i, j=j))
+                row.append((v, lm * s, fd))
 
 
 def build_from_seeds(

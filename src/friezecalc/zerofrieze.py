@@ -112,13 +112,11 @@ def from_frieze(f: InfiniteFrieze, k: int) -> ZeroFrieze:
         v_i = -2*f[k,k+i-1]*x[k+i-2]/f[k,k+i-2]       (i >= 3)
 
     and everything deeper follows from the zero diamond rule.  v_i reads
-    column k+1 of the frieze for i <= 1 and its row k for i >= 3; a 0-frieze
-    row reads both, so column k+1 has its own evaluator, and neither read
-    replaces the other's stored runs.
+    column k+1 of the frieze for i <= 1 and its row k for i >= 3, both
+    through ``f``, which keeps every cell it computed.
     """
     fd = f.field
     minus2 = fd.from_int(-2)
-    column = InfiniteFrieze(f.seeds)
 
     def u_fn(i: int) -> FieldElement:
         return minus2 * f.x(k + i - 3 if i <= 2 else k + i - 2)
@@ -127,8 +125,8 @@ def from_frieze(f: InfiniteFrieze, k: int) -> ZeroFrieze:
         if i == 2:
             return f.x(k)
         if i <= 1:
-            top = minus2 * column.entry(k + i - 2, k + 1) * f.x(k + i - 2)
-            return top / column.entry(k + i - 1, k + 1)
+            top = minus2 * f.entry(k + i - 2, k + 1) * f.x(k + i - 2)
+            return top / f.entry(k + i - 1, k + 1)
         return minus2 * f.entry(k, k + i - 1) * f.x(k + i - 2) / f.entry(k, k + i - 2)
 
     return ZeroFrieze(u_fn, v_fn, fd)

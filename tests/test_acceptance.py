@@ -258,45 +258,77 @@ def test_criterion_11_outside_oracle():
 
 
 class _GenericField:
-    """The field of :class:`_Generic` elements, as the frieze-row engine asks
-    of it: with ``d`` None the engine's kernel is plain ``*`` and ``-``, and
-    an element's lattice value is the element itself, over denominator 1."""
+    """The field of :class:`_Generic` elements over the sympy field of
+    fractions ``domain``, as the package asks of it: with ``d`` None the
+    engine's kernel and the degree-2 checks are plain ``*`` and ``-``, and an
+    element's lattice value is the element itself, over denominator 1."""
 
     d = None
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.zero = _Generic(domain.zero, self)
+        self.one = _Generic(domain.one, self)
+
+    def from_int(self, n):
+        return _Generic(self.domain(n), self)
 
     def lattice(self, rows):
         return 1, [[e.v for e in r] for r in rows]
 
     def from_lattice(self, v, den):
-        return _Generic(v / den)
+        return _Generic(v / den, self)
 
 
 class _Generic:
-    """An element of a sympy field of fractions, with the division and the
-    ``field`` that the frieze-row engine asks of a field element: it divides
-    the seeds into step factors and runs the row rule on their lattice values."""
+    """An element of a sympy field of fractions, with the arithmetic and the
+    ``field`` that the package asks of a field element: the frieze engine
+    divides the seeds into step factors and runs the row rule on their
+    lattice values, and ``det_closed_form`` multiplies and raises to powers."""
 
-    __slots__ = ("v",)
-    field = _GenericField()
+    __slots__ = ("v", "field")
 
-    def __init__(self, v):
+    def __init__(self, v, field):
         self.v = v
+        self.field = field
+
+    def __mul__(self, other):
+        return _Generic(self.v * other.v, self.field)
+
+    def __sub__(self, other):
+        return _Generic(self.v - other.v, self.field)
 
     def __truediv__(self, other):
-        return _Generic(self.v / other.v)
+        return _Generic(self.v / other.v, self.field)
+
+    def __pow__(self, n):
+        return _Generic(self.v**n, self.field)
+
+    def __neg__(self):
+        return _Generic(-self.v, self.field)
+
+    def __eq__(self, other):
+        return self.v == other.v
+
+    @property
+    def is_zero(self):
+        return not self.v
 
 
 def test_criterion_12_generic_identities():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    with criterion(12, "generic frieze matrices, n = 3..8: the determinant and Laurent identities"):
+    with criterion(12, "generic frieze matrices, n = 3..8, and friezes on generic cycles"):
         for n in range(3, 9):
             field = sympy.QQ.frac_field(*sympy.symbols(f"x1:{n} y1:{n - 1}"))
+            generic = _GenericField(field)
             x, y = field.gens[: n - 1], field.gens[n - 1:]
             # The package's own row-rule engine, run on indeterminate seeds.
             rows = _FriezeRows(
-                lambda i: _Generic(x[i - 1]), lambda i: _Generic(y[i - 1]), "zero at ({i},{j})"
+                lambda i: _Generic(x[i - 1], generic),
+                lambda i: _Generic(y[i - 1], generic),
+                "zero at ({i},{j})",
             )
 
             def m(i, j):
@@ -310,3 +342,19 @@ def test_criterion_12_generic_identities():
             det = DomainMatrix(grid, (n, n), field).det()
             assert det == -((-2) ** (n - 2)) * m(1, n) * math.prod(x)
             assert m(1, n).denom == math.prod(x[1: n - 2], start=field.one).numer
+        # Friezes on generic x, y cycles of period p < 6: the cones of
+        # M+(1, 6) and M-(1, 6) reach past i = p, so their reads go through
+        # the residue shift.
+        for p in (3, 4, 5):
+            field = sympy.QQ.frac_field(*sympy.symbols(f"x1:{p + 1} y1:{p + 1}"))
+            generic = _GenericField(field)
+            x, y = (
+                SeedRow.cycle([_Generic(g, generic) for g in gens])
+                for gens in (field.gens[:p], field.gens[p:])
+            )
+            f = InfiniteFrieze(FriezeSeeds(x, y, generic))
+            for extract in (extract_m_plus, extract_m_minus):
+                mat = extract(f, 1, 6)
+                assert validate(mat).ok
+                grid = [[e.v for e in row] for row in mat.rows()]
+                assert DomainMatrix(grid, (6, 6), field).det() == det_closed_form(mat).v

@@ -30,8 +30,8 @@ from friezecalc import (
     validate,
 )
 from friezecalc import cli
-from friezecalc.frieze import MAX_KEPT_PERIOD
 from friezecalc.field import FieldElement, format_element
+from friezecalc import matrix
 from friezecalc.matrix import SeedData, _FriezeRows
 from friezecalc.serialize import frieze_seeds_from_json
 
@@ -71,17 +71,47 @@ class CountingRow(SeedRow):
 
 
 def stored_cells(rows) -> set:
-    """The cells (i, i + 3 + r) that the engine ``rows`` holds."""
-    return {
-        (i, i + 3 + r)
-        for r, (start, run) in enumerate(zip(rows._starts, rows._runs))
-        for i in range(start, start + len(run))
-    }
+    """The cells (i, j), j - i >= 3, that the engine ``rows`` holds."""
+    return {(i, i + 1 + k) for i, row in rows._rows.items() for k in range(2, len(row))}
 
 
-def spans(rows) -> list:
-    """The columns [s, e) of each stored row of the engine ``rows``."""
-    return [(s, s + len(run)) for s, run in zip(rows._starts, rows._runs)]
+def cone(i: int, j: int) -> set:
+    """The cells (a, b), b - a >= 3, of the cone of e(i, j)."""
+    return {(a, b) for a in range(i, j - 2) for b in range(a + 3, j + 1)}
+
+
+def assert_cones_stored(rows, read: set, held: set) -> None:
+    """The engine ``rows`` holds a cone-closed set of cells, with the cells
+    ``held`` (the cones of the reads that succeeded) and none outside the
+    cells ``read`` (the cones of every read made)."""
+    cells = stored_cells(rows)
+    # The cone of (a, b) is (a, b) with the cones of (a, b - 1) and (a + 1, b).
+    assert all({(a, b - 1), (a + 1, b)} <= cells for a, b in cells if b - a > 3)
+    assert held <= cells <= read
+
+
+def cycle_tables(x, y, n: int = 80) -> FriezeSeeds:
+    """Q(sqrt 5) seeds whose x and y are tables over [0, n) that repeat the
+    cycles ``x`` and ``y``: read by the engine, with no period."""
+    return frieze_seeds_from_json({
+        "field": {"kind": "quadratic", "d": 5},
+        "x": {"table": {"start": 0, "values": [x[k % len(x)] for k in range(n)]}},
+        "y": {"table": {"start": 0, "values": [y[k % len(y)] for k in range(n)]}},
+    })
+
+
+def counting_det2(monkeypatch) -> list:
+    """Count the engine's cells as they are computed: each takes one
+    ``matrix._det2``.  Returns the list that grows by one per cell."""
+    calls = []
+    det2 = matrix._det2
+
+    def counted(*args):
+        calls.append(args)
+        return det2(*args)
+
+    monkeypatch.setattr(matrix, "_det2", counted)
+    return calls
 
 
 def engine_frieze(seeds: FriezeSeeds) -> InfiniteFrieze:
@@ -129,6 +159,10 @@ class TestSeedRow:
         assert row.value(0) == rat(2)
         with pytest.raises(WindowExceededError):
             row.value(1)
+
+    def test_period(self):
+        assert SeedRow.table(0, [rat(1)]).period is None
+        assert SeedRow.cycle([rat(1)] * 4).period == 4
 
     def test_zero_values_rejected(self):
         with pytest.raises(ValueError):
@@ -319,9 +353,9 @@ class TestPeriod:
 
     def test_period_beyond_depth_reads_each_run_once(self):
         # x has period exactly 25 and y_i >= x_i + x_{i+1} keeps every entry
-        # positive.  At P = depth the two sides' columns are disjoint; read
-        # through one evaluator, each comparison would rebuild its whole cone
-        # (about 400,000 seed reads here).
+        # positive.  At P = depth the two sides' columns are disjoint; an
+        # evaluator that dropped cells for a disjoint read would rebuild a
+        # whole cone per comparison (about 400,000 seed reads here).
         period = 25
         x = CountingRow.cycle([rat(1 + k % 3) for k in range(period - 1)] + [rat(5)])
         y = CountingRow.cycle([rat(11)])
@@ -453,15 +487,9 @@ class TestEngine:
         # cells of the cones read and no others.  Every cell it computes is
         # stored, so each of those cells was computed exactly once.  The
         # seeds are tables of cycle values over [0, 80), which cover every
-        # read, so that the evaluator reads the engine (on cycles it keeps
-        # one period of each depth).
-        x, y = ["2", "1/2 + sqrt(5)", "3/2"], ["9", "15/2 + sqrt(5)"]
-        seeds = frieze_seeds_from_json({
-            "field": {"kind": "quadratic", "d": 5},
-            "x": {"table": {"start": 0, "values": [x[k % 3] for k in range(80)]}},
-            "y": {"table": {"start": 0, "values": [y[k % 2] for k in range(80)]}},
-        })
-        f = InfiniteFrieze(seeds)
+        # read, so that the evaluator reads the engine at the indices read
+        # (on cycles it shifts each read into one period).
+        f = InfiniteFrieze(cycle_tables(["2", "1/2 + sqrt(5)", "3/2"], ["9", "15/2 + sqrt(5)"]))
         held = set()
 
         def check(value):
@@ -509,28 +537,36 @@ class TestEngine:
         # Small-integer seeds make zero entries likely, and table seeds give x
         # and y windows of their own.  Single reads, depth-row reads and cone
         # reads in any order give the reference engine's values, fields and
-        # text, or its error, and leave the same stored runs after each one.
-        # Both evaluators have their period off, so every read goes to the
-        # engine.
+        # text, or its error.  After each one the engine holds a cone-closed
+        # set of cells: the cones of the reads that succeeded, and nothing
+        # outside the cones read.  Both evaluators have their period off, so
+        # every read goes to the engine.
         def elements(f):
             return st.one_of(mixed_elements(f), small_elements(f))
 
         x, y = data.draw(seed_rows(fd, elements)), data.draw(seed_rows(fd, elements))
         f, ref = engine_frieze(FriezeSeeds(x, y, fd)), engine_frieze(FriezeSeeds(x, y, fd))
         ref._rows = ReferenceRows(x.value, y.value, FRIEZE_ZERO)
+        read, held = set(), set()
 
         for kind, i, d, width in requests:
             if kind == "entry":
                 got = settle(lambda: [f.entry(i, i + d)])
                 expected = settle(lambda: [ref.entry(i, i + d)])
+                cones = cone(i, i + d)
             elif kind == "row":
                 got = settle(lambda: f.row(d, i, i + width))
                 expected = settle(lambda: [ref.entry(c, c + d) for c in range(i, i + width)])
+                cones = set().union(*(cone(c, c + d) for c in range(i, i + width)))
             else:
                 got = settle(lambda: [v for _, v in cone_entries(f, i, i + d)])
                 expected = settle(lambda: [v for _, v in cone_entries(ref, i, i + d)])
+                cones = cone(i, i + d)
             assert got == expected
-            assert spans(f._rows) == spans(ref._rows)
+            read |= cones
+            if isinstance(got, list):
+                held |= cones
+            assert_cones_stored(f._rows, read, held)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -539,20 +575,53 @@ class TestEngine:
         st.lists(st.tuples(st.integers(-25, 25), st.integers(1, 10)), min_size=1, max_size=12),
     )
     def test_each_stored_run_is_held_up_by_the_row_below(self, data, fd, requests):
-        # Requests far apart replace stored runs with disjoint ones.  After
-        # every request, raised or not, stored row t >= 1 over [s, e) needs
-        # row t - 1 to hold [s, e + 1): a miss walks down only to the first
-        # row that holds its columns.
+        # Requests far apart, whose cones meet or not.  After every request,
+        # raised or not, each stored cell (i, j) is held up by rows i + 1 ..
+        # j - 3 holding column j, so the stored cells are cone-closed: the
+        # cones of the reads that succeeded, and nothing outside those read.
         x, y = (
             SeedRow.cycle(data.draw(st.lists(nonzero_elements(fd), min_size=1, max_size=3)))
             for _ in range(2)
         )
         rows = _FriezeRows(x.value, y.value, FRIEZE_ZERO)
+        read, held = set(), set()
         for i, d in requests:
-            outcome(rows.get, i, i + d)
-            held = spans(rows)
-            for (lo, hi), (s, e) in zip(held, held[1:]):
-                assert lo <= s and e + 1 <= hi
+            got = outcome(rows.get, i, i + d)
+            read |= cone(i, i + d)
+            if not isinstance(got, tuple):
+                held |= cone(i, i + d)
+            assert_cones_stored(rows, read, held)
+
+    def test_table_window_extends_once_per_depth_row(self, monkeypatch):
+        # A 40 x 40 window of table seeds, read as `frieze gen` reads it, a
+        # depth row at a time: each depth d >= 3 extends the union of its
+        # cones in one kernel call, and reading the window again cell by
+        # cell computes nothing.
+        f = InfiniteFrieze(cycle_tables(["2", "1/2 + sqrt(5)", "3/2"], ["9", "15/2 + sqrt(5)"]))
+        calls = []
+        extend = _FriezeRows._extend
+
+        def counted(rows, *args):
+            calls.append(args)
+            return extend(rows, *args)
+
+        monkeypatch.setattr(_FriezeRows, "_extend", counted)
+        window = [f.row(d, 0, 40) for d in range(40)]
+        assert window == [[f.entry(i, i + d) for i in range(40)] for d in range(40)]
+        assert calls == [(0, 40 + d - 3, d - 3, 40) for d in range(3, 40)]
+
+    def test_period_on_tables_computes_each_cell_once(self, monkeypatch):
+        # `frieze period` reads both sides through one evaluator, which keeps
+        # every cell it computed: each cell takes one kernel step.
+        x, y = ["2", "1/2 + sqrt(5)", "3/2"], ["9", "15/2 + sqrt(5)"]
+        cycles = frieze_seeds_from_json(
+            {"field": {"kind": "quadratic", "d": 5}, "x": {"cycle": x}, "y": {"cycle": y}}
+        )
+        period = detect_period(InfiniteFrieze(cycles), 12, 12)
+        f = InfiniteFrieze(cycle_tables(x, y))
+        cells = counting_det2(monkeypatch)
+        assert detect_period(f, 12, 12) == period is not None
+        assert len(cells) == len(stored_cells(f._rows)) > 0
 
     def test_window_does_field_operations_per_column(self, tmp_path, monkeypatch, capsys):
         # Fractional Q(sqrt 5) cycles with y_i >= x_i + x_(i+1), so no entry is
@@ -580,8 +649,9 @@ class TestEngine:
 
 
 class TestPeriodicReads:
-    """Reads of cycle-seeded friezes and 0-friezes from one kept period,
-    pinned to the engine and to rows read without the period."""
+    """Reads of cycle-seeded friezes and 0-friezes shifted into one period,
+    pinned to the engine read at the entries' own indices and to rows read
+    without the period."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -599,10 +669,10 @@ class TestPeriodicReads:
         ),
     )
     def test_periodic_reads_match_the_engine(self, data, fd, requests):
-        # Small-integer cycles make zero entries likely: a failed fill must
-        # leave every read, and every later one, to the engine's own values
-        # and errors.  0-frieze rows read from row i mod Q must equal rows
-        # computed at i.
+        # Small-integer cycles make zero entries likely: a read shifted into
+        # [0, P) must give the engine's own values, and its errors at the
+        # indices the engine names for the entry read.  0-frieze rows read
+        # from row i mod Q must equal rows computed at i.
         elements = st.one_of(small_elements(fd), small_elements(RATIONAL))
 
         def cycle():
@@ -665,11 +735,10 @@ class TestPeriodicReads:
         assert all(j - i < 3 for kind, i, j in (c for c in calls if c[0] == "get"))
 
     def test_wide_period_reads_only_the_cone(self, tmp_path, monkeypatch, capsys):
-        # Cycles of 1000 and 999 values have P = 999,000.  A period that wide
-        # is not kept, so `frieze cone --i 0 --j 3` computes the cells of its
-        # cone through the engine, as on table seeds, not one per residue.
-        # x_i in {1, 2, 3} and y_i = 10 >= x_i + x_{i+1} keep every entry
-        # positive.
+        # Cycles of 1000 and 999 values have P = 999,000.  A read is shifted
+        # into [0, P), so `frieze cone --i 0 --j 3` computes the cells of its
+        # cone, as on table seeds, not one per residue.  x_i in {1, 2, 3} and
+        # y_i = 10 >= x_i + x_{i+1} keep every entry positive.
         doc = {
             "field": {"kind": "rational"},
             "x": {"cycle": [str(1 + k % 3) for k in range(1000)]},
@@ -677,28 +746,7 @@ class TestPeriodicReads:
         }
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps(doc))
-        cells = []
-        compute = _FriezeRows._cells
-
-        def counted(rows, r, lo, hi, out):
-            cells.append(hi - lo)
-            return compute(rows, r, lo, hi, out)
-
-        monkeypatch.setattr(_FriezeRows, "_cells", counted)
+        cells = counting_det2(monkeypatch)
         assert cli.run(["frieze", "cone", "--seeds", str(path), "--i", "0", "--j", "3"]) == 0
         assert '"entries"' in capsys.readouterr().out
-        assert 0 < sum(cells) <= 3 * 3
-        assert InfiniteFrieze(frieze_seeds_from_json(doc))._period is None
-
-    def test_period_is_kept_up_to_the_cap(self):
-        def seeds(nx, ny):
-            return FriezeSeeds(
-                SeedRow.cycle([rat(1 + k % 3) for k in range(nx)]),
-                SeedRow.cycle([rat(10)] * ny),
-                RATIONAL,
-            )
-
-        assert InfiniteFrieze(seeds(8, 25))._period == MAX_KEPT_PERIOD == 200
-        assert InfiniteFrieze(seeds(9, 25))._period is None
-        assert SeedRow.table(0, [rat(1)]).period is None
-        assert SeedRow.cycle([rat(1)] * 4).period == 4
+        assert 0 < len(cells) <= 3 * 3
