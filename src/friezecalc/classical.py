@@ -11,10 +11,10 @@ Two families of frieze matrices with known determinants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import OrderViolationError, ZeroMinorError
-from .field import RATIONAL, FieldDescriptor, FieldElement, _join
+from .field import RATIONAL, FieldDescriptor, FieldElement, _checked_record, _join
 from .matrix import (
     FriezeMatrix,
     SeedData,
@@ -37,18 +37,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuiddityData:
-    """A candidate quiddity sequence: k >= 3 positive integers."""
+class QuiddityData(_checked_record("QuiddityData", "a")):
+    """A candidate quiddity sequence: a tuple of k >= 3 positive integers."""
 
-    a: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        if len(self.a) < 3:
+    def __new__(cls, a):
+        a = tuple(int(v) for v in a)
+        if len(a) < 3:
             raise ValueError("quiddity sequences have length k >= 3")
-        if any(v < 1 for v in self.a):
+        if any(v < 1 for v in a):
             raise ValueError("quiddity entries must be positive integers")
+        return super().__new__(cls, a)
 
     @property
     def k(self) -> int:
@@ -61,35 +61,30 @@ def _crossing(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
     return (p < r < q < s) or (r < p < s < q)
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(_checked_record("Triangulation", "k diagonals")):
     """A full triangulation of a convex k-gon: k-3 non-crossing diagonals.
 
-    Vertices are 1..k; each diagonal is stored as an ordered pair (p, q)
+    Vertices are 1..k; the diagonals are a frozenset of ordered pairs (p, q)
     with p < q.
     """
 
-    k: int
-    diagonals: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        diags = frozenset(tuple(sorted(d)) for d in self.diagonals)
-        object.__setattr__(self, "diagonals", diags)
-        if self.k < 3:
+    def __new__(cls, k, diagonals):
+        diags = frozenset(tuple(sorted(d)) for d in diagonals)
+        if k < 3:
             raise ValueError("polygon needs k >= 3 vertices")
-        if len(diags) != self.k - 3:
-            raise ValueError(
-                f"a {self.k}-gon triangulation has {self.k - 3} diagonals, "
-                f"got {len(diags)}"
-            )
+        if len(diags) != k - 3:
+            raise ValueError(f"a {k}-gon triangulation has {k - 3} diagonals, got {len(diags)}")
         for p, q in diags:
-            if not (1 <= p < q <= self.k) or q - p < 2 or (p, q) == (1, self.k):
-                raise ValueError(f"({p},{q}) is not a diagonal of a {self.k}-gon")
+            if not (1 <= p < q <= k) or q - p < 2 or (p, q) == (1, k):
+                raise ValueError(f"({p},{q}) is not a diagonal of a {k}-gon")
         diag_list = sorted(diags)
         for idx, d1 in enumerate(diag_list):
             for d2 in diag_list[idx + 1:]:
                 if _crossing(d1, d2):
                     raise ValueError(f"diagonals {d1} and {d2} cross")
+        return super().__new__(cls, k, diags)
 
 
 def quiddity_from_triangulation(t: Triangulation) -> QuiddityData:
@@ -122,8 +117,7 @@ def cc_matrix(q: QuiddityData) -> FriezeMatrix:
     return m
 
 
-@dataclass(frozen=True)
-class DetCheckReport:
+class DetCheckReport(namedtuple("DetCheckReport", "det det_oracle expected")):
     """Closed-form determinant, elimination oracle, and the expected value.
 
     ``expected`` restates the theorem; it is not a third route.  For ``cc``
@@ -134,9 +128,7 @@ class DetCheckReport:
     ``det == det_oracle``: the closed form against Bareiss elimination.
     """
 
-    det: FieldElement
-    det_oracle: FieldElement
-    expected: FieldElement
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -150,18 +142,16 @@ def cc_det_check(q: QuiddityData) -> DetCheckReport:
     return DetCheckReport(det_closed_form(m), det_elimination(m), expected)
 
 
-@dataclass(frozen=True)
-class TwoRowMatrix:
-    """A 2 x n matrix given by its two rows; n >= 2."""
+class TwoRowMatrix(_checked_record("TwoRowMatrix", "top bottom")):
+    """A 2 x n matrix given by its two rows, held as tuples; n >= 2."""
 
-    top: tuple[FieldElement, ...]
-    bottom: tuple[FieldElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        if len(self.top) != len(self.bottom) or len(self.top) < 2:
+    def __new__(cls, top, bottom):
+        top, bottom = tuple(top), tuple(bottom)
+        if len(top) != len(bottom) or len(top) < 2:
             raise ValueError("need two rows of equal length n >= 2")
+        return super().__new__(cls, top, bottom)
 
     @property
     def n(self) -> int:

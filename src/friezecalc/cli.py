@@ -8,27 +8,22 @@ take ``--seed`` (fixed default) and echo it in the output.
 Each handler returns ``(output, ok, note)``: a JSON object or a text grid
 for stdout, whether every check passed, and a stderr summary or None.
 :func:`run` alone prints them and maps outcomes and errors to exit codes.
+
+The frieze, 0-frieze and cc/bm handlers import the modules they call when
+they run, so that a command loads only the code it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from functools import cache, partial
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import classical, generators, serialize, zerofrieze
+from . import serialize
 from .errors import FriezeError
 from .field import _format_rows, format_element
-from .frieze import (
-    InfiniteFrieze,
-    cone_entries,
-    detect_period,
-    extract_m_minus,
-    extract_m_plus,
-)
 from .matrix import (
     check_ptolemy,
     check_t_properties,
@@ -46,6 +41,12 @@ EXIT_USAGE = 2
 DEFAULT_SEED = 0
 
 _Result = tuple[Any, bool, "str | None"]
+
+if TYPE_CHECKING:
+    import random
+
+    from . import classical, zerofrieze
+    from .frieze import InfiniteFrieze
 
 
 def _read_json(path: str) -> Any:
@@ -73,12 +74,15 @@ def _load_matrix(path: str):
 
 
 def _load_frieze(path: str) -> InfiniteFrieze:
+    from .frieze import InfiniteFrieze
+
     return InfiniteFrieze(serialize.frieze_seeds_from_json(_read_json(path)))
 
 
 def _load_zero(path: str) -> zerofrieze.ZeroFrieze:
-    u, v, fd = serialize.zero_seeds_from_json(_read_json(path))
-    return zerofrieze.ZeroFrieze(u, v, fd)
+    from .zerofrieze import ZeroFrieze
+
+    return ZeroFrieze(*serialize.zero_seeds_from_json(_read_json(path)))
 
 
 # ---------------------------------------------------------------- matrix ops
@@ -191,6 +195,8 @@ def _cmd_frieze_gen(args) -> _Result:
 
 
 def _cmd_frieze_cone(args) -> _Result:
+    from .frieze import cone_entries
+
     _at_most("cone extent j - i", args.j - args.i, MAX_EXTENT)
     f = _load_frieze(args.seeds)
     entries = cone_entries(f, args.i, args.j)
@@ -204,6 +210,8 @@ def _cmd_frieze_cone(args) -> _Result:
 
 
 def _cmd_frieze_extract(args) -> _Result:
+    from .frieze import extract_m_minus, extract_m_plus
+
     f = _load_frieze(args.seeds)
     if args.sign == "plus":
         m = extract_m_plus(f, args.k, args.n)
@@ -214,6 +222,8 @@ def _cmd_frieze_extract(args) -> _Result:
 
 
 def _cmd_frieze_period(args) -> _Result:
+    from .frieze import detect_period
+
     f = _load_frieze(args.seeds)
     period = detect_period(f, args.max, args.depth, args.start)
     out = {"max_period": args.max, "depth": args.depth, "period": period}
@@ -225,6 +235,8 @@ def _cmd_zero_gen(args) -> _Result:
 
 
 def _cmd_zero_from_frieze(args) -> _Result:
+    from . import zerofrieze
+
     reach = max(abs(args.start), abs(args.start + args.cols)) + args.rows
     _at_most("window reach max(|start|, |start + cols|) + rows", reach, MAX_EXTENT)
     zf = zerofrieze.from_frieze(_load_frieze(args.seeds), args.k)
@@ -232,6 +244,8 @@ def _cmd_zero_from_frieze(args) -> _Result:
 
 
 def _cmd_zero_check(args) -> _Result:
+    from . import zerofrieze
+
     if args.rows == 1 and args.cols > 1:
         raise ValueError("--rows must be at least 2 when --cols is more than 1: "
                          "the cells of the u row alone are not connected")
@@ -274,10 +288,14 @@ def _det_report(check, data, head: dict[str, Any], more) -> tuple[dict[str, Any]
 
 
 def _quiddity_report(q: classical.QuiddityData) -> tuple[dict[str, Any], bool]:
+    from . import classical
+
     return _det_report(classical.cc_det_check, q, {"quiddity": list(q.a)}, lambda: {"k": q.k})
 
 
 def _two_row_report(x: classical.TwoRowMatrix) -> tuple[dict[str, Any], bool]:
+    from . import classical
+
     return _det_report(
         classical.baur_marsh_det_check, x, {"n": x.n},
         lambda: {"rows": serialize.two_row_to_json(x)["rows"]},
@@ -285,6 +303,8 @@ def _two_row_report(x: classical.TwoRowMatrix) -> tuple[dict[str, Any], bool]:
 
 
 def _cc_case(rng: random.Random, k: int) -> tuple[dict[str, Any], bool]:
+    from . import classical, generators
+
     t = generators.random_triangulation(rng, k)
     out, ok = _quiddity_report(classical.quiddity_from_triangulation(t))
     out["triangulation"] = serialize.triangulation_to_json(t)["diagonals"]
@@ -292,11 +312,15 @@ def _cc_case(rng: random.Random, k: int) -> tuple[dict[str, Any], bool]:
 
 
 def _bm_case(rng: random.Random, n: int) -> tuple[dict[str, Any], bool]:
+    from . import generators
+
     return _two_row_report(generators.random_two_row_matrix(rng, n))
 
 
 def _random_checks(args, name: str, size: str, case) -> _Result:
     """``args.count`` seeded cases of ``case(rng, args.<size>)``."""
+    import random
+
     rng = random.Random(args.seed)
     value = getattr(args, size)
     reports = [case(rng, value) for _ in range(args.count)]
@@ -312,9 +336,11 @@ def _random_checks(args, name: str, size: str, case) -> _Result:
 
 
 def _cmd_cc_check(args) -> _Result:
+    from .classical import QuiddityData
+
     values = args.quiddity.split(",")
     _at_most("quiddity length", len(values), MAX_CASE_SIZE)
-    q = classical.QuiddityData(tuple(int(v) for v in values))
+    q = QuiddityData(tuple(int(v) for v in values))
     out, ok = _quiddity_report(q)
     return out, ok, f"cc check {args.quiddity}: {'ok' if ok else 'FAILED'}"
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 __all__ = [
     "ElementSyntaxError",
@@ -45,21 +44,27 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+def _checked_record(name: str, fields: str) -> type:
+    """The named-tuple base of a record that checks its fields in ``__new__``:
+    its ``_make``, and so ``_replace``, build through that ``__new__`` too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class FieldDescriptor(_checked_record("FieldDescriptor", "d")):
     """The coefficient field: plain rationals (d is None) or Q(sqrt(d)).
 
     d may be negative; the only requirement is that it is not a perfect
     square (and not 0 or 1), which keeps sqrt(d) irrational.
     """
 
-    d: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d is not None and (self.d in (0, 1) or _is_square(self.d)):
-            raise ValueError(
-                f"d={self.d} is a square; the extension would collapse to Q"
-            )
+    def __new__(cls, d: int | None = None):
+        if d is not None and (d in (0, 1) or _is_square(d)):
+            raise ValueError(f"d={d} is a square; the extension would collapse to Q")
+        return super().__new__(cls, d)
 
     @property
     def kind(self) -> str:
@@ -109,8 +114,10 @@ class FieldDescriptor:
 RATIONAL = FieldDescriptor()
 
 
-def _rational(x) -> Fraction:
+def _rational(x):
     """An int or Fraction coefficient as a Fraction; floats and all else are refused."""
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x
     if not isinstance(x, int):
@@ -120,7 +127,7 @@ def _rational(x) -> Fraction:
 
 def _join(f1: FieldDescriptor, f2: FieldDescriptor) -> FieldDescriptor:
     """Common field of two descriptors; Q embeds into any Q(sqrt(d))."""
-    if f1.d == f2.d:
+    if f1 is f2 or f1.d == f2.d:
         return f1
     if f1.d is None:
         return f2
@@ -170,13 +177,17 @@ class FieldElement:
         return FieldElement, (self.a, self.b, self.field)
 
     @property
-    def a(self) -> Fraction:
-        """The rational part p/den."""
+    def a(self):
+        """The rational part p/den, as a Fraction."""
+        from fractions import Fraction
+
         return Fraction(self._p, self._den)
 
     @property
-    def b(self) -> Fraction:
-        """The coefficient q/den of sqrt(d)."""
+    def b(self):
+        """The coefficient q/den of sqrt(d), as a Fraction."""
+        from fractions import Fraction
+
         return Fraction(self._q, self._den)
 
     @property
@@ -188,6 +199,8 @@ class FieldElement:
             return other
         if type(other) is int:
             return _element(other, 0, 1, self.field)
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
             return _element(other.numerator, 0, other.denominator, self.field)

@@ -15,7 +15,7 @@ only grows; a zero entry below the second row is an error, raised eagerly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import WindowExceededError, ZeroEntryError
 from .field import FieldDescriptor, FieldElement, FieldMismatchError
@@ -80,13 +80,10 @@ def _joint_period(*rows) -> int | None:
 _ZERO_MESSAGE = "frieze entry ({i},{j}) is zero; the seeds generate no frieze"
 
 
-@dataclass(frozen=True)
-class FriezeSeeds:
-    """First-two-row data of a frieze: x and y rows plus the field."""
+class FriezeSeeds(namedtuple("FriezeSeeds", "x y field")):
+    """First-two-row data of a frieze: x and y SeedRows plus the field."""
 
-    x: SeedRow
-    y: SeedRow
-    field: FieldDescriptor
+    __slots__ = ()
 
 
 class InfiniteFrieze:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ZeroEntryError
-from .field import FieldDescriptor, FieldElement, _join, format_element
+from .field import FieldDescriptor, FieldElement, _checked_record, _join, format_element
 
 __all__ = [
     "EliminationTrace",
@@ -47,14 +47,11 @@ RULE_ZERO_DIAMOND = "zero_diamond"
 RULE_DIAGONAL_RELATION = "diagonal_relation"
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed rule: both sides of the equation that should have held."""
+class Violation(namedtuple("Violation", "rule indices lhs rhs")):
+    """One failed rule (a str), its indices (a tuple of ints) and both sides
+    of the equation that should have held."""
 
-    rule: str
-    indices: tuple[int, ...]
-    lhs: FieldElement
-    rhs: FieldElement
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (
@@ -63,9 +60,8 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(namedtuple("ValidationReport", "violations", defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -161,20 +157,19 @@ class FriezeMatrix:
         return f"{type(self).__name__}(n={self.n}, field={self.field})"
 
 
-@dataclass(frozen=True)
-class SeedData:
-    """The determining data: n-1 values x_i and n-2 values y_i, all nonzero."""
+class SeedData(_checked_record("SeedData", "x y")):
+    """The determining data: n-1 values x_i and n-2 values y_i, all nonzero,
+    held as tuples."""
 
-    x: tuple[FieldElement, ...]
-    y: tuple[FieldElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "y", tuple(self.y))
-        if len(self.x) < 1 or len(self.y) != len(self.x) - 1:
+    def __new__(cls, x, y):
+        x, y = tuple(x), tuple(y)
+        if len(x) < 1 or len(y) != len(x) - 1:
             raise ValueError("need len(x) = n-1 >= 1 and len(y) = n-2")
-        if any(v.is_zero for v in self.x) or any(v.is_zero for v in self.y):
+        if any(v.is_zero for v in x) or any(v.is_zero for v in y):
             raise ValueError("seed entries must be nonzero")
+        return super().__new__(cls, x, y)
 
     @property
     def n(self) -> int:
@@ -460,17 +455,16 @@ class TriangularMatrix(FriezeMatrix):
         return tuple(self._rows[i][i] for i in range(self.n))
 
 
-@dataclass(frozen=True)
-class EliminationTrace:
+class EliminationTrace(namedtuple("EliminationTrace", "matrices steps")):
     """The intermediate matrices of the row reduction, swap included.
 
-    ``matrices[k]`` is the k-th stage (k = 0 is the row swap); the last
-    stage equals the closed-form triangular matrix.  ``steps[k]`` is a
-    human-readable description of the row operations producing stage k.
+    ``matrices[k]`` is the k-th stage (k = 0 is the row swap), a tuple of
+    row tuples; the last stage equals the closed-form triangular matrix.
+    ``steps[k]`` is a human-readable description of the row operations
+    producing stage k.
     """
 
-    matrices: tuple[tuple[tuple[FieldElement, ...], ...], ...]
-    steps: tuple[str, ...]
+    __slots__ = ()
 
 
 def _t_closed_form(m: FriezeMatrix) -> TriangularMatrix:

@@ -16,9 +16,8 @@ Malformed documents raise ValueError with a description of the offence.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .classical import Triangulation, TwoRowMatrix
 from .field import (
     RATIONAL,
     FieldDescriptor,
@@ -27,8 +26,11 @@ from .field import (
     format_element,
     parse_element,
 )
-from .frieze import FriezeSeeds, SeedRow
 from .matrix import FriezeMatrix, ValidationReport, Violation
+
+if TYPE_CHECKING:  # the readers import these when they build them
+    from .classical import Triangulation, TwoRowMatrix
+    from .frieze import FriezeSeeds, SeedRow
 
 __all__ = [
     "field_from_json",
@@ -114,6 +116,8 @@ def matrix_from_json(obj: Any) -> FriezeMatrix:
 
 
 def _seed_row_from_json(obj: Any, fd: FieldDescriptor, name: str) -> SeedRow:
+    from .frieze import SeedRow
+
     if isinstance(obj, dict) and "cycle" in obj:
         values = obj["cycle"]
         if not isinstance(values, list) or not values:
@@ -144,6 +148,8 @@ def _seed_pair_from_json(obj: Any, names: tuple[str, str]):
 
 
 def frieze_seeds_from_json(obj: Any) -> FriezeSeeds:
+    from .frieze import FriezeSeeds
+
     return FriezeSeeds(*_seed_pair_from_json(obj, ("x", "y")))
 
 
@@ -162,6 +168,8 @@ def two_row_to_json(x: TwoRowMatrix) -> dict[str, Any]:
 
 
 def two_row_from_json(obj: Any) -> TwoRowMatrix:
+    from .classical import TwoRowMatrix
+
     if not isinstance(obj, dict):
         raise ValueError("two-row document must be an object")
     fd = field_from_json(obj.get("field", {"kind": "rational"}))

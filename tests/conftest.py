@@ -19,6 +19,7 @@ from friezecalc import (
     FieldDescriptor,
     FieldElement,
     FieldMismatchError,
+    FriezeMatrix,
     SeedRow,
     ZeroEntryError,
     build_from_seeds,
@@ -26,7 +27,6 @@ from friezecalc import (
     serialize,
 )
 from friezecalc.field import _join
-from friezecalc.generators import random_frieze_matrix
 from friezecalc.matrix import SeedData, _det2, _square_grid
 from friezecalc.zerofrieze import _nonzero
 
@@ -228,6 +228,60 @@ def reference_from_lattice(fd: FieldDescriptor, v, den: int) -> ReferenceElement
 
 def load_fixture(name: str):
     return json.loads((FIXTURES / name).read_text())
+
+
+# Seeded random rationals, elements, seed data and frieze matrices for the
+# tests.  Rejection sampling retries when the drawn data fails a nonzero
+# condition; magnitudes stay small (|num| <= 9, den <= 4 by default) to keep
+# entry growth manageable on the larger sizes.
+def random_rational(
+    rng: random.Random, max_num: int = 9, max_den: int = 4, nonzero: bool = False
+) -> Fraction:
+    while True:
+        val = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+        if not (nonzero and val == 0):
+            return val
+
+
+def random_element(
+    rng: random.Random,
+    field: FieldDescriptor,
+    max_num: int = 9,
+    max_den: int = 4,
+    nonzero: bool = False,
+) -> FieldElement:
+    while True:
+        a = random_rational(rng, max_num, max_den)
+        # Half of the quadratic draws stay rational to vary the mix.
+        b = Fraction(0)
+        if not field.is_rational and rng.random() < 0.5:
+            b = random_rational(rng, 3, 2)
+        el = field.element(a, b)
+        if not (nonzero and el.is_zero):
+            return el
+
+
+def random_seed_data(rng: random.Random, n: int, field: FieldDescriptor) -> SeedData:
+    if n < 2:
+        raise ValueError("need n >= 2")
+    x = tuple(random_element(rng, field, nonzero=True) for _ in range(n - 1))
+    y = tuple(random_element(rng, field, nonzero=True) for _ in range(n - 2))
+    return SeedData(x, y)
+
+
+def random_frieze_matrix(
+    rng: random.Random, n: int, field: FieldDescriptor, max_tries: int = 500
+) -> FriezeMatrix:
+    """Draw seeds until the construction succeeds (no zero entries).
+
+    Raises ValueError when ``max_tries`` draws all fail.
+    """
+    for _ in range(max_tries):
+        try:
+            return build_from_seeds(random_seed_data(rng, n, field), field)
+        except ZeroEntryError:
+            continue
+    raise ValueError(f"no frieze matrix of size {n} found in {max_tries} tries")
 
 
 @pytest.fixture(scope="session")

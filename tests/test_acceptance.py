@@ -41,16 +41,11 @@ from friezecalc import (
     validate,
     window_cells,
 )
-from friezecalc.generators import (
-    random_frieze_matrix,
-    random_rational,
-    random_triangulation,
-    random_two_row_matrix,
-)
+from friezecalc.generators import random_triangulation, random_two_row_matrix
 from friezecalc.matrix import _FriezeRows
 from friezecalc.serialize import matrix_from_json, zero_seeds_from_json
 
-from conftest import Q5, load_fixture, rat
+from conftest import Q5, load_fixture, random_frieze_matrix, random_rational, rat
 from test_matrix import assert_trace_valid
 
 

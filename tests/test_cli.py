@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from friezecalc import FieldDescriptor, FriezeMatrix, cli, parse_element, serialize
+from friezecalc import FieldDescriptor, FriezeMatrix, cli, parse_element, serialize, zerofrieze
 from friezecalc.cli import DEFAULT_SEED, run
 from friezecalc.generators import random_two_row_matrix
 
@@ -392,7 +392,7 @@ class TestBadInputExits2:
             raise AssertionError("a cell was computed")
 
         with monkeypatch.context() as m:
-            m.setattr(cli.zerofrieze.ZeroFrieze, "entry", no_cell)
+            m.setattr(zerofrieze.ZeroFrieze, "entry", no_cell)
             assert run(["zerofrieze", "check", ZERO_EXAMPLE, "--rows", "1", "--cols", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err

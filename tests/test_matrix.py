@@ -27,11 +27,10 @@ from friezecalc import (
     triangulate,
     validate,
 )
-from friezecalc.generators import random_frieze_matrix
 from friezecalc.matrix import _elimination_trace
 from friezecalc.serialize import field_to_json, matrix_to_json
 
-from conftest import det_cofactor, el5, rat
+from conftest import det_cofactor, el5, random_frieze_matrix, rat
 
 
 def grid_of(m) -> list[list[str]]:

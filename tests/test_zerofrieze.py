@@ -28,7 +28,6 @@ from friezecalc import (
     window_cells,
 )
 from friezecalc.cli import run
-from friezecalc.generators import random_rational
 from friezecalc.matrix import RULE_ZERO_DIAMOND, SeedData, ValidationReport, Violation
 from friezecalc.serialize import zero_seeds_from_json
 
@@ -45,6 +44,7 @@ from conftest import (
     mixed_elements,
     outcome,
     pin_fields,
+    random_rational,
     rat,
     seed_fields,
     seed_rows,
