@@ -125,7 +125,7 @@ class DetCheckReport(namedtuple("DetCheckReport", "det det_oracle expected")):
     x = 1 and the m[1,k] = 1 that :func:`cc_matrix` has already asserted;
     for ``bm`` it is ``det`` itself, :func:`det_closed_form` on the minor
     matrix.  So ``det == expected`` cannot fail, and the check is
-    ``det == det_oracle``: the closed form against Bareiss elimination.
+    ``det == det_oracle``: the closed form against row-reduced elimination.
     """
 
     __slots__ = ()

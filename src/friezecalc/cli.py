@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from functools import cache, partial
-from typing import TYPE_CHECKING, Any
 
 from . import serialize
 from .errors import FriezeError
@@ -40,13 +39,15 @@ EXIT_USAGE = 2
 
 DEFAULT_SEED = 0
 
-_Result = tuple[Any, bool, "str | None"]
-
+TYPE_CHECKING = False  # true only for type checkers, so `typing` is never imported
 if TYPE_CHECKING:
     import random
+    from typing import Any
 
     from . import classical, zerofrieze
     from .frieze import InfiniteFrieze
+
+    _Result = tuple[Any, bool, str | None]
 
 
 def _read_json(path: str) -> Any:
@@ -365,7 +366,7 @@ def _cmd_bm_random(args) -> _Result:
 # ------------------------------------------------------------------- parser
 
 # Caps on every size, so that a run at the cap ends in a few seconds.  A
-# cc/bm case, a cubic Bareiss check in its size k or n, takes time in
+# cc/bm case, an elimination check in its size k or n, takes time at most in
 # proportion to (size + 12)^3 with its fixed costs, so `cc random` and `bm
 # random` cap count * (size + 12)^3 too: 2 cases at k = 200, 50 at n = 20.
 # A random 2 x n matrix with entries in [-9, 9] almost surely has two
@@ -412,7 +413,8 @@ _OPTIONS: dict[str, dict[str, Any]] = {
     "--method": {"choices": ["closed", "eliminate", "both"], "default": "both"},
     "--trace": {"action": "store_true", "help": "record every elimination stage"},
     "--check-props": {"action": "store_true", "dest": "check_props",
-                      "help": "verify the structural identities of the result"},
+                      "help": "verify the structural identities of the result (they hold by "
+                              "construction on the closed form; --trace can fail)"},
     **dict.fromkeys(["--i", "--j", "--k"], {"type": int, "required": True}),
     "--n": {"type": partial(_positive, most=MAX_EXTENT), "required": True,
             "help": f"matrix size, at most {MAX_EXTENT}"},

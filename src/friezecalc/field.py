@@ -386,16 +386,21 @@ def format_element(x: FieldElement, compact: bool = False) -> str:
 
 def _format_rows(rows, compact: bool = False) -> list[list[str]]:
     """``[[format_element(e, compact) for e in row] for row in rows]``,
-    formatting each element object once (periodic rows, trace stages and
-    symmetric matrices share objects).  Objects are known by id, and the
-    ids are valid only while the caller holds every element it formats:
-    pass rows that hold their elements, not a generator that makes them.
+    formatting each value once: a text is kept by the element's value
+    (p, q, den, d), and a row object met again (the rows a trace stage
+    leaves alone) gets the same list of texts.  Rows are known by id, so
+    pass a sequence of rows that it holds, not a generator that makes them.
     """
-    text: dict[int, str] = {}
-    return [
-        [text.get(id(e)) or text.setdefault(id(e), format_element(e, compact)) for e in row]
-        for row in rows
-    ]
+    text: dict[tuple, str] = {}
+    done: dict[int, list[str]] = {}
+    for row in rows:
+        if id(row) not in done:
+            done[id(row)] = [
+                text.get(k) or text.setdefault(k, format_element(e, compact))
+                for e in row
+                for k in ((e._p, e._q, e._den, e.field.d),)
+            ]
+    return [done[id(row)] for row in rows]
 
 
 # One term of the grammar above, matched again and again from the start of

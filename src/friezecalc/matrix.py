@@ -399,45 +399,63 @@ def check_ptolemy(
     1 <= i <= j <= k <= l <= n, else IndexError); otherwise checks every
     quadruple, equalities included (those hold trivially).
 
-    Both sides have degree 2 in the entries, so the scan runs on the
-    entries cleared by :class:`_Cleared`.
+    Both sides have degree 2 in the entries, so the checks run on the
+    entries cleared by :class:`_Cleared`, a grid g.  Without ``quad``, a
+    certificate comes first: every diagonal cell is zero, g[1,2] != 0 and
+    the relations (1, 2, k, l) hold for 3 <= k < l <= n.  Then every
+    relation holds, and the report is empty; otherwise every quadruple is
+    scanned, and only the scan builds violations.  Proof: take a_c = g[1,c],
+    b_c = g[2,c] for c >= 2 and a_1 = 0, b_1 = -g[1,2], and the 2x2 minors
+    D(k,l) = a_k*b_l - a_l*b_k.  Then D(k,l) = g[1,2]*g[k,l] for k <= l: for
+    k = l, k = 1 or k = 2 by the zero diagonal, and for k >= 3 it is the
+    relation (1, 2, k, l).  The minors of any 2 x n matrix satisfy
+    D(i,k)*D(j,l) = D(i,j)*D(k,l) + D(i,l)*D(j,k) (the three-term Plücker
+    relation), so each relation i <= j <= k <= l holds on g multiplied by
+    g[1,2]^2, which is nonzero.  The certificate reads only cells the scan
+    reads, the upper triangle and the diagonal.
     """
     n = m.n
-    if quad is not None:
-        i, j, k, l = quad
-        if not (1 <= i <= j <= k <= l <= n):
-            raise IndexError(
-                f"quadruple {quad} must satisfy 1 <= i <= j <= k <= l <= {n}"
-            )
-        quads = [(i - 1, j - 1, k - 1, l - 1)]
-    else:
-        quads = itertools.combinations_with_replacement(range(n), 4)
+    if quad is not None and not (1 <= quad[0] <= quad[1] <= quad[2] <= quad[3] <= n):
+        raise IndexError(f"quadruple {quad} must satisfy 1 <= i <= j <= k <= l <= {n}")
     c = _Cleared(m.rows(), m.field)
     d, g, z = c.d, c.grid, c.zero
+
+    def failing(quads):
+        for i, j, k, l in quads:
+            gi, gj = g[i], g[j]
+            if d is None:
+                holds = gi[k] * gj[l] == gi[j] * g[k][l] + gi[l] * gj[k]
+            else:
+                # Both sides expanded in Z[sqrt(d)]: the sqrt(d) parts, then the rest.
+                (a0, a1), (b0, b1) = gi[k], gj[l]
+                (c0, c1), (e0, e1) = gi[j], g[k][l]
+                (f0, f1), (h0, h1) = gi[l], gj[k]
+                holds = (
+                    a0 * b1 + a1 * b0 == c0 * e1 + c1 * e0 + f0 * h1 + f1 * h0
+                    and a0 * b0 - c0 * e0 - f0 * h0 == d * (c1 * e1 + f1 * h1 - a1 * b1)
+                )
+            if not holds:
+                yield i, j, k, l
+
+    if quad is not None:
+        quads = [tuple(x - 1 for x in quad)]
+    else:
+        certificate = ((0, 1, k, l) for k in range(2, n) for l in range(k + 1, n))
+        diagonal = all(g[i][i] == z for i in range(n))
+        if diagonal and g[0][1] != z and next(failing(certificate), None) is None:
+            return ValidationReport()
+        quads = itertools.combinations_with_replacement(range(n), 4)
     out = []
-    for i, j, k, l in quads:
-        gi, gj = g[i], g[j]
-        if d is None:
-            holds = gi[k] * gj[l] == gi[j] * g[k][l] + gi[l] * gj[k]
-        else:
-            # Both sides expanded in Z[sqrt(d)]: the sqrt(d) parts, then the rest.
-            (a0, a1), (b0, b1) = gi[k], gj[l]
-            (c0, c1), (e0, e1) = gi[j], g[k][l]
-            (f0, f1), (h0, h1) = gi[l], gj[k]
-            holds = (
-                a0 * b1 + a1 * b0 == c0 * e1 + c1 * e0 + f0 * h1 + f1 * h0
-                and a0 * b0 - c0 * e0 - f0 * h0 == d * (c1 * e1 + f1 * h1 - a1 * b1)
-            )
-        if not holds:
-            # gi[j]*g[k][l] + gi[l]*gj[k] is the 2x2 determinant with -gj[k].
-            h = gj[k]
-            lhs = _det2(gi[k], gj[l], z, z, d)
-            rhs = _det2(gi[j], g[k][l], gi[l], -h if d is None else (-h[0], -h[1]), d)
-            i, j, k, l = i + 1, j + 1, k + 1, l + 1
-            e = m.entry
-            lhs = c.side(lhs, (e(i, k), e(j, l)))
-            rhs = c.side(rhs, (e(i, j), e(k, l), e(i, l), e(j, k)))
-            out.append(Violation(RULE_PTOLEMY, (i, j, k, l), lhs, rhs))
+    for i, j, k, l in failing(quads):
+        # gi[j]*g[k][l] + gi[l]*gj[k] is the 2x2 determinant with -gj[k].
+        gi, gj, h = g[i], g[j], g[j][k]
+        lhs = _det2(gi[k], gj[l], z, z, d)
+        rhs = _det2(gi[j], g[k][l], gi[l], -h if d is None else (-h[0], -h[1]), d)
+        i, j, k, l = i + 1, j + 1, k + 1, l + 1
+        e = m.entry
+        lhs = c.side(lhs, (e(i, k), e(j, l)))
+        rhs = c.side(rhs, (e(i, j), e(k, l), e(i, l), e(j, k)))
+        out.append(Violation(RULE_PTOLEMY, (i, j, k, l), lhs, rhs))
     return ValidationReport(tuple(out))
 
 
@@ -489,6 +507,25 @@ def _t_closed_form(m: FriezeMatrix) -> TriangularMatrix:
     return TriangularMatrix(rows)
 
 
+def _row_step(v, dr: int, s: int, t, u, d: int | None) -> tuple[list, int]:
+    """The row v/dr made (v*s - t*u) / (dr*s), in lowest terms: new lattice
+    values, ints over Q or pairs p + q*sqrt(d) over Q(sqrt(d)), and their
+    int denominator.  s is a nonzero int and t a lattice value, so the
+    gcd of dr*s and the new values divides each of them exactly."""
+    ds = dr * s
+    if d is None:
+        new = [x * s - t * y for x, y in zip(v, u)]
+        q = math.gcd(ds, *new)
+        return ([x // q for x in new] if q != 1 else new), ds // q
+    (t0, t1), dt1 = t, d * t[1]
+    new = [
+        (x0 * s - t0 * y0 - dt1 * y1, x1 * s - t0 * y1 - t1 * y0)
+        for (x0, x1), (y0, y1) in zip(v, u)
+    ]
+    q = math.gcd(ds, *(x for w in new for x in w))
+    return ([(x0 // q, x1 // q) for x0, x1 in new] if q != 1 else new), ds // q
+
+
 def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
     """Apply the literal row-operation schedule and record every stage.
 
@@ -500,10 +537,11 @@ def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
     is v_r / D_r, with v_r ints or pairs p + q*sqrt(d) and D_r an int, all
     starting at the common denominator.  The multiplier a/b has a, b in
     that lattice, and a/b = a*conj(b) / N(b) over Q(sqrt(d)) (over Q read
-    conj(b) = 1 and N(b) = b), so R_r <- R_r - (a/b)*R_k is the integer
-    combination (v_r*N(b)*D_k - a*conj(b)*D_r*v_k) / (D_r*N(b)*D_k),
-    reduced by the gcd of the row.  A column where v_k is zero keeps its value (a - c*0
-    = a) and its element; elements are built only for the changed entries.
+    conj(b) = 1 and N(b) = b), so R_r <- R_r - (a/b)*R_k is the step
+    :func:`_row_step` with s = N(b)*D_k and t = a*conj(b)*D_r.  A column
+    where v_k is zero keeps its value (a - c*0 = a) and its element;
+    elements are built only for the changed entries, and a row that a stage
+    leaves alone is the same tuple in both stages.
     """
     n = m.n
     fd = m.field
@@ -525,23 +563,13 @@ def _elimination_trace(m: FriezeMatrix) -> EliminationTrace:
         for i in targets:
             c = m.entry(a_row, i) / pivot
             ops.append(f"R{i} <- R{i} - ({format_element(c)})*R{k}")
-            a, vr, dr = g[a_row - 1][i - 1], vecs[i - 1], dens[i - 1]
+            a, dr = g[a_row - 1][i - 1], dens[i - 1]
             if d is None:
                 s, t = b * dens[k - 1], a * dr
-                new = [v * s - t * u for v, u in zip(vr, vk)]
-                q = math.gcd(dr * s, *new)
-                new = [v // q for v in new]
             else:
                 s = (b[0] * b[0] - d * b[1] * b[1]) * dens[k - 1]
-                t0, t1 = (a[0] * b[0] - d * a[1] * b[1]) * dr, (a[1] * b[0] - a[0] * b[1]) * dr
-                new = [
-                    (v0 * s - t0 * u0 - d * t1 * u1, v1 * s - t0 * u1 - t1 * u0)
-                    for (v0, v1), (u0, u1) in zip(vr, vk)
-                ]
-                q = math.gcd(dr * s, *(x for w in new for x in w))
-                new = [(v0 // q, v1 // q) for v0, v1 in new]
-            dr = dr * s // q
-            vecs[i - 1], dens[i - 1] = new, dr
+                t = (a[0] * b[0] - d * a[1] * b[1]) * dr, (a[1] * b[0] - a[0] * b[1]) * dr
+            new, dr = vecs[i - 1], dens[i - 1] = _row_step(vecs[i - 1], dr, s, t, vk, d)
             row = list(elems[i - 1])
             for j in nz:
                 row[j] = fd.from_lattice(new[j], dr)
@@ -582,73 +610,50 @@ def _square_grid(m) -> tuple[list[list[FieldElement]], FieldDescriptor]:
     return a, _common_field(e for r in a for e in r)
 
 
-_INEXACT = "Bareiss division left a remainder; the elimination kernel is wrong"
-
-
 def det_elimination(m) -> FieldElement:
-    """Exact determinant by integer-preserving (Bareiss) elimination.
+    """Exact determinant by row-reduced elimination.
 
     Works on any square matrix of field elements: frieze matrices, their
-    triangular companions, or a plain grid.  Each row is scaled by the lcm
-    D_i of its coefficient denominators, so that DM has entries in Z (held
-    as ints) or in Z[sqrt(d)] (held as pairs (p, q) = p + q*sqrt(d)) and
-    det(M) = det(DM) / prod(D_i).  Bareiss elimination on DM divides
-    exactly by the previous pivot; over Z[sqrt(d)] it multiplies by the
-    pivot's conjugate and divides by its integer norm.  Every such division
-    checks its remainder.  Row swaps are tracked and a fully zero pivot
-    column short-circuits to zero.
+    triangular companions, or a plain grid.  Row r is held as v_r / D_r in
+    lowest terms, v_r ints over Q or pairs (p, q) = p + q*sqrt(d) over
+    Q(sqrt(d)), from the lcm D_r of its denominators, and its columns are
+    read last first (a permutation of sign (-1)^(n(n-1)/2)).  Step k takes
+    the first row with a nonzero cell b in column k as the pivot row (a
+    swap flips the sign); with 1/b = conj(b)/N(b) (over Q read conj(b) = 1,
+    N(b) = b), R_r <- R_r - (v_r[k]/b)*R_k is :func:`_row_step` with
+    s = N(b) and t = v_r[k]*conj(b), in which D_k cancels, on the trailing
+    block.  The determinant is the product of the pivots b/D_k, one lattice
+    value over one int, made an element at the end.  Every division is by a
+    gcd, so exact; a column without a nonzero cell gives zero.  On a frieze
+    matrix, whose upper triangle is the minors of a 2 x n matrix divided by
+    m[1,2] (see :func:`check_ptolemy`), rows 1 and 2 then clear each row i
+    in every column j > i, so from step 3 on each column holds one nonzero
+    cell: the elimination costs O(n^2) operations, not O(n^3).
     """
     a, fd = _square_grid(m)
-    n = len(a)
     d = fd.d
-    scale = 1
-    g = []
-    for row in a:
-        den, [v] = fd.lattice([row])
-        scale *= den
-        g.append(v)
-    zero, prev = (0, 1) if d is None else ((0, 0), (1, 0))
-    sign = 1
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if g[r][k] != zero), None)
-        if pivot_row is None:
+    rows = [(v, den) for den, [v] in (fd.lattice([row[::-1]]) for row in a)]
+    zero, prod = (0, 1) if d is None else ((0, 0), (1, 0))
+    scale = (-1) ** (len(a) * (len(a) - 1) // 2)
+    while rows:
+        p = next((r for r, (v, _) in enumerate(rows) if v[0] != zero), None)
+        if p is None:
             return fd.zero
-        if pivot_row != k:
-            g[k], g[pivot_row] = g[pivot_row], g[k]
-            sign = -sign
-        top = g[k]
-        p = top[k]
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            scale = -scale
+        ((b, *u), dk), rest = rows[0], rows[1:]
+        scale *= dk
         if d is None:
-            # g[i][j] <- (g[i][j]*p - g[i][k]*g[k][j]) / prev, exactly.
-            for row in g[k + 1:]:
-                c = row[k]
-                for j in range(k + 1, n):
-                    q, r = divmod(row[j] * p - c * top[j], prev)
-                    if r:
-                        raise ArithmeticError(_INEXACT)
-                    row[j] = q
+            prod, s = prod * b, b
         else:
-            # The same update in Z[sqrt(d)]; dividing by prev = v0 + v1*sqrt(d)
-            # is multiplying by v0 - v1*sqrt(d) and dividing by v0^2 - d*v1^2.
-            p0, p1 = p
-            v0, v1 = prev
-            norm = v0 * v0 - d * v1 * v1
-            dp1, dv1 = d * p1, d * v1
-            for row in g[k + 1:]:
-                c0, c1 = row[k]
-                dc1 = d * c1
-                for j in range(k + 1, n):
-                    x0, x1 = row[j]
-                    y0, y1 = top[j]
-                    t0 = x0 * p0 + x1 * dp1 - c0 * y0 - dc1 * y1
-                    t1 = x0 * p1 + x1 * p0 - c0 * y1 - c1 * y0
-                    q0, r0 = divmod(t0 * v0 - t1 * dv1, norm)
-                    q1, r1 = divmod(t1 * v0 - t0 * v1, norm)
-                    if r0 or r1:
-                        raise ArithmeticError(_INEXACT)
-                    row[j] = (q0, q1)
-        prev = p
-    return fd.from_lattice(g[n - 1][n - 1], sign * scale)
+            (b0, b1), (p0, p1) = b, prod
+            prod, s = (p0 * b0 + d * p1 * b1, p0 * b1 + p1 * b0), b0 * b0 - d * b1 * b1
+        rows = []
+        for (x, *v), dr in rest:
+            t = x if d is None else (x[0] * b0 - d * x[1] * b1, x[1] * b0 - x[0] * b1)
+            rows.append((v, dr) if x == zero else _row_step(v, dr, s, t, u, d))
+    return fd.from_lattice(prod, scale)
 
 
 def reconstruct_entry(m: FriezeMatrix, i: int, j: int) -> FieldElement:

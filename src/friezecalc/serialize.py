@@ -16,8 +16,6 @@ Malformed documents raise ValueError with a description of the offence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
-
 from .field import (
     RATIONAL,
     FieldDescriptor,
@@ -28,7 +26,10 @@ from .field import (
 )
 from .matrix import FriezeMatrix, ValidationReport, Violation
 
-if TYPE_CHECKING:  # the readers import these when they build them
+TYPE_CHECKING = False  # true only for type checkers, so `typing` is never imported
+if TYPE_CHECKING:  # the readers import the records when they build them
+    from typing import Any
+
     from .classical import Triangulation, TwoRowMatrix
     from .frieze import FriezeSeeds, SeedRow
 

@@ -14,12 +14,14 @@ window, which :func:`rank1_factorize` recovers.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
-
 from .errors import FactorizationImpossibleError, ZeroEntryError
 from .field import FieldDescriptor, FieldElement
 from .frieze import InfiniteFrieze, SeedRow, _joint_period
 from .matrix import RULE_ZERO_DIAMOND, ValidationReport, Violation, _Cleared, _common_field, _det2
+
+TYPE_CHECKING = False  # true only for type checkers, so `typing` is never imported
+if TYPE_CHECKING:
+    from typing import Callable, Mapping
 
 __all__ = [
     "ZeroFrieze",

@@ -435,6 +435,73 @@ def det_cofactor(m):
     return expand(tuple(range(n)), tuple(range(n)))
 
 
+def reference_bareiss(m):
+    """Exact determinant by integer-preserving (Bareiss) elimination: the
+    package's kernel before row-reduced elimination replaced it, and a
+    reference for that kernel.
+
+    Each row is scaled by the lcm D_i of its coefficient denominators, so
+    that DM has entries in Z (held as ints) or in Z[sqrt(d)] (held as pairs
+    (p, q) = p + q*sqrt(d)) and det(M) = det(DM) / prod(D_i).  Bareiss
+    elimination on DM divides exactly by the previous pivot; over
+    Z[sqrt(d)] it multiplies by the pivot's conjugate and divides by its
+    integer norm.  Every such division checks its remainder.  Row swaps are
+    tracked and a fully zero pivot column short-circuits to zero.
+    """
+    inexact = "Bareiss division left a remainder; the elimination kernel is wrong"
+    a, fd = _square_grid(m)
+    n = len(a)
+    d = fd.d
+    scale = 1
+    g = []
+    for row in a:
+        den, [v] = fd.lattice([row])
+        scale *= den
+        g.append(v)
+    zero, prev = (0, 1) if d is None else ((0, 0), (1, 0))
+    sign = 1
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if g[r][k] != zero), None)
+        if pivot_row is None:
+            return fd.zero
+        if pivot_row != k:
+            g[k], g[pivot_row] = g[pivot_row], g[k]
+            sign = -sign
+        top = g[k]
+        p = top[k]
+        if d is None:
+            # g[i][j] <- (g[i][j]*p - g[i][k]*g[k][j]) / prev, exactly.
+            for row in g[k + 1:]:
+                c = row[k]
+                for j in range(k + 1, n):
+                    q, r = divmod(row[j] * p - c * top[j], prev)
+                    if r:
+                        raise ArithmeticError(inexact)
+                    row[j] = q
+        else:
+            # The same update in Z[sqrt(d)]; dividing by prev = v0 + v1*sqrt(d)
+            # is multiplying by v0 - v1*sqrt(d) and dividing by v0^2 - d*v1^2.
+            p0, p1 = p
+            v0, v1 = prev
+            norm = v0 * v0 - d * v1 * v1
+            dp1, dv1 = d * p1, d * v1
+            for row in g[k + 1:]:
+                c0, c1 = row[k]
+                dc1 = d * c1
+                for j in range(k + 1, n):
+                    x0, x1 = row[j]
+                    y0, y1 = top[j]
+                    t0 = x0 * p0 + x1 * dp1 - c0 * y0 - dc1 * y1
+                    t1 = x0 * p1 + x1 * p0 - c0 * y1 - c1 * y0
+                    q0, r0 = divmod(t0 * v0 - t1 * dv1, norm)
+                    q1, r1 = divmod(t1 * v0 - t0 * v1, norm)
+                    if r0 or r1:
+                        raise ArithmeticError(inexact)
+                    row[j] = (q0, q1)
+        prev = p
+    return fd.from_lattice(g[n - 1][n - 1], sign * scale)
+
+
 class ProductZeroFrieze:
     """t[i,j] of the 0-frieze with rows u, v as a running product of field
     elements, t[i,i] = v_i and t[i,j] = t[i,j-1]*(v_j/u_j).  It is the same

@@ -30,7 +30,7 @@ from friezecalc.classical import DetCheckReport
 from friezecalc.generators import random_triangulation, random_two_row_matrix
 from friezecalc.matrix import FriezeMatrix
 
-from conftest import Q5, outcome, rat
+from conftest import Q5, outcome, rat, reference_bareiss
 
 
 def ints(*vs):
@@ -152,6 +152,15 @@ class TestCcDet:
             report = cc_det_check(q)
             assert report.ok
             assert report.expected == -(RATIONAL.from_int(-2) ** (k - 2))
+
+    @pytest.mark.parametrize("k", [10, 25, 44])
+    def test_elimination_matches_bareiss(self, k):
+        """Exact equality of the elimination kernel, the Bareiss reference
+        and the expected -(-2)^(k-2) on integer cc matrices."""
+        q = quiddity_from_triangulation(random_triangulation(random.Random(k), k))
+        m = cc_matrix(q)
+        det = det_elimination(m)
+        assert det == reference_bareiss(m) == -(RATIONAL.from_int(-2) ** (k - 2))
 
     def test_rotation_preserves_determinant(self):
         rng = random.Random(13)

@@ -27,10 +27,11 @@ from friezecalc import (
     triangulate,
     validate,
 )
+from friezecalc import matrix
 from friezecalc.matrix import _elimination_trace
 from friezecalc.serialize import field_to_json, matrix_to_json
 
-from conftest import det_cofactor, el5, random_frieze_matrix, rat
+from conftest import Q5, det_cofactor, el5, random_frieze_matrix, rat, reference_bareiss
 
 
 def grid_of(m) -> list[list[str]]:
@@ -181,18 +182,6 @@ def ptolemy_matrices(draw):
     return FriezeMatrix(rows)
 
 
-@given(ptolemy_matrices(), st.lists(st.integers(0, 8), min_size=4, max_size=4), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_ptolemy_scan_matches_reference(m, quad, ordered):
-    assert ptolemy_violations(check_ptolemy(m)) == reference_ptolemy(m)
-    quad = tuple(sorted(quad) if ordered else quad)
-    if 1 <= quad[0] <= quad[1] <= quad[2] <= quad[3] <= m.n:
-        assert ptolemy_violations(check_ptolemy(m, quad)) == reference_ptolemy(m, quad)
-    else:
-        with pytest.raises(IndexError):
-            check_ptolemy(m, quad)
-
-
 def reference_validate(m):
     """The rule checks on field elements that the integer-lattice checks replaced."""
     n, zero = m.n, m.field.zero
@@ -226,6 +215,83 @@ def matrices_with_zero_pairs(draw):
     i, j = sorted(draw(st.lists(st.integers(0, m.n - 1), min_size=2, max_size=2, unique=True)))
     rows[i][j] = rows[j][i] = m.field.zero
     return FriezeMatrix(rows)
+
+
+@st.composite
+def minor_matrices(draw):
+    """The symmetric matrix of the column minors D_ij = a_i*b_j - a_j*b_i of
+    a random 2 x n matrix, n in [2, 7], built directly so that minors may be
+    zero: D_12 is zero in about half of them (column 2 a multiple of
+    column 1).  Every Ptolemy relation holds on it (Plücker), so only the
+    certificate's m[1,2] != 0 can tell the two routes apart.  Sometimes one
+    symmetric pair is changed."""
+    fd = draw(_ptolemy_fields)
+    n = draw(st.integers(2, 7))
+    b = st.just(0) if fd.is_rational else _ptolemy_coeffs
+    elem = st.builds(fd.element, _ptolemy_coeffs, b)
+    top = draw(st.lists(elem, min_size=n, max_size=n))
+    bottom = draw(st.lists(elem, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        c = draw(elem)
+        top[1], bottom[1] = c * top[0], c * bottom[0]
+    rows = [[top[i] * bottom[j] - top[j] * bottom[i] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        rows[i][j] = rows[j][i] = rows[i][j] + draw(elem.filter(bool))
+    return FriezeMatrix(rows)
+
+
+@given(
+    matrices_with_zero_pairs() | minor_matrices(),
+    st.lists(st.integers(0, 8), min_size=4, max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_ptolemy_scan_matches_reference(m, quad, ordered):
+    assert ptolemy_violations(check_ptolemy(m)) == reference_ptolemy(m)
+    quad = tuple(sorted(quad) if ordered else quad)
+    if 1 <= quad[0] <= quad[1] <= quad[2] <= quad[3] <= m.n:
+        assert ptolemy_violations(check_ptolemy(m, quad)) == reference_ptolemy(m, quad)
+    else:
+        with pytest.raises(IndexError):
+            check_ptolemy(m, quad)
+
+
+class _CountingInt(int):
+    """An int that counts the products it is the left factor of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingInt.products += 1
+        return int(self) * other
+
+
+def test_valid_matrix_is_cleared_by_the_first_two_rows(monkeypatch):
+    """A valid 20 x 20 matrix over Q is cleared after the (n-2)(n-3)/2 = 153
+    relations (1, 2, k, l), three products each, with no scan; a corrupted
+    one still gets the reference report."""
+
+    class Counted(matrix._Cleared):
+        def __init__(self, rows, field=None):
+            super().__init__(rows, field)
+            self.grid = [[_CountingInt(v) for v in r] for r in self.grid]
+
+    monkeypatch.setattr(matrix, "_Cleared", Counted)
+    m = random_frieze_matrix(random.Random(20), 20, RATIONAL)
+    _CountingInt.products = 0
+    assert check_ptolemy(m).ok
+    assert _CountingInt.products == 3 * 153
+    rows = [list(r) for r in m.rows()]
+    rows[4][11] = rows[11][4] = rows[4][11] + rat(1)
+    bad = FriezeMatrix(rows)
+    _CountingInt.products = 0
+    report = check_ptolemy(bad)
+    assert _CountingInt.products > 3 * 153
+    assert not report.ok and ptolemy_violations(report) == reference_ptolemy(bad)
 
 
 @given(matrices_with_zero_pairs())
@@ -459,7 +525,28 @@ def square_grids(draw):
 @given(square_grids())
 @settings(max_examples=200, deadline=None)
 def test_elimination_matches_cofactor(grid):
-    assert det_elimination(grid) == det_cofactor(grid)
+    assert det_elimination(grid) == reference_bareiss(grid) == det_cofactor(grid)
+
+
+def test_frieze_matrix_needs_two_elimination_steps(monkeypatch):
+    """Columns read last first, rows 1 and 2 clear every other row of a
+    valid frieze matrix beyond its diagonal: a 20 x 20 one takes 2(n-2)
+    row steps, each row but the one with a zero cell once per step."""
+    calls = []
+    step = matrix._row_step
+    monkeypatch.setattr(matrix, "_row_step", lambda *args: calls.append(1) or step(*args))
+    m = random_frieze_matrix(random.Random(20), 20, Q5)
+    assert det_elimination(m) == det_closed_form(m)
+    assert len(calls) == 2 * (20 - 2)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_elimination_matches_bareiss_on_fractional_friezes(n):
+    """Exact equality with the Bareiss reference and the closed form on
+    Q(sqrt 5) frieze matrices whose coefficients have denominators."""
+    m = random_frieze_matrix(random.Random(n), n, Q5)
+    assert any(e._den > 1 for r in m.rows() for e in r)
+    assert det_elimination(m) == reference_bareiss(m) == det_closed_form(m)
 
 
 class TestReconstruct:

@@ -40,7 +40,7 @@ code = friezecalc.cli.run(sys.argv[1:]) if sys.argv[1:] else 0
 sys.stderr.write("\\nexit %d loaded %s\\n" % (code, " ".join(sorted(sys.modules))))
 """
 
-NEVER_LOADED = {"dataclasses", "fractions", "inspect"}
+NEVER_LOADED = {"dataclasses", "fractions", "inspect", "typing"}
 COMMON = {"friezecalc", "friezecalc.cli", "friezecalc.errors", "friezecalc.field",
           "friezecalc.matrix", "friezecalc.serialize"}
 
