@@ -504,6 +504,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for values made of
+    str, int, bool, None, lists, tuples and dicts with str keys; anything
+    else, floats included, raises :class:`TypeError`.  The pieces go to one
+    list, joined once.  A list of strings is quoted in one ``map`` and its
+    text kept by (id, depth), so a row that several trace stages share is
+    quoted once; ids stay unique while ``value`` holds every list.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    pieces: list[str] = []
+    texts: dict[tuple[int, int], str] = {}
+
+    def write(v, depth: int) -> None:
+        if isinstance(v, str):
+            pieces.append(quote(v))
+        elif v is None or v is True or v is False:
+            pieces.append("null" if v is None else "true" if v else "false")
+        elif isinstance(v, int):
+            pieces.append(int.__repr__(v))
+        elif not isinstance(v, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        elif not v:
+            pieces.append("{}" if isinstance(v, dict) else "[]")
+        else:
+            inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+            if isinstance(v, dict):
+                pieces.append("{")
+                for k, (key, x) in enumerate(v.items()):
+                    pieces.append(f"{',' if k else ''}{inner}{quote(key)}: ")
+                    write(x, depth + 1)
+                pieces.append(close + "}")
+            elif (id(v), depth) in texts:
+                pieces.append(texts[id(v), depth])
+            else:
+                try:
+                    text = f"[{inner}{(',' + inner).join(map(quote, v))}{close}]"
+                except TypeError:  # an item that is not a str
+                    pieces.append("[")
+                    for k, x in enumerate(v):
+                        pieces.append("," + inner if k else inner)
+                        write(x, depth + 1)
+                    pieces.append(close + "]")
+                else:
+                    pieces.append(text)
+                    texts[id(v), depth] = text
+
+    write(value, 0)
+    return "".join(pieces)
+
+
 def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -523,7 +573,7 @@ def run(argv: list[str]) -> int:
     if isinstance(out, str):
         print(out)
     else:
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
+        sys.stdout.write(_dumps(out) + "\n")
     if note is not None:
         print(note, file=sys.stderr)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

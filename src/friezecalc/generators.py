@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .classical import Triangulation, TwoRowMatrix, delta_minor_matrix
-from .errors import ZeroMinorError
+from .classical import Triangulation, TwoRowMatrix
 from .field import RATIONAL
 
 __all__ = ["random_triangulation", "random_two_row_matrix"]
@@ -41,16 +40,13 @@ def random_two_row_matrix(
 ) -> TwoRowMatrix:
     """Integer 2 x n matrices, redrawn until every column minor is nonzero.
 
-    Raises ValueError when ``max_tries`` draws all have a zero minor.
+    A minor a_i*b_j - a_j*b_i is tested on the drawn ints, before any field
+    element is built.  Raises ValueError when ``max_tries`` draws all have a
+    zero minor.
     """
     for _ in range(max_tries):
-        x = TwoRowMatrix(
-            tuple(RATIONAL.from_int(rng.randint(-max_abs, max_abs)) for _ in range(n)),
-            tuple(RATIONAL.from_int(rng.randint(-max_abs, max_abs)) for _ in range(n)),
-        )
-        try:
-            delta_minor_matrix(x)
-        except ZeroMinorError:
-            continue
-        return x
+        a = [rng.randint(-max_abs, max_abs) for _ in range(n)]
+        b = [rng.randint(-max_abs, max_abs) for _ in range(n)]
+        if all(a[i] * b[j] != a[j] * b[i] for i in range(n) for j in range(i + 1, n)):
+            return TwoRowMatrix(map(RATIONAL.from_int, a), map(RATIONAL.from_int, b))
     raise ValueError(f"no nonzero-minor 2x{n} matrix found in {max_tries} tries")

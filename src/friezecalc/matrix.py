@@ -401,18 +401,24 @@ def check_ptolemy(
 
     Both sides have degree 2 in the entries, so the checks run on the
     entries cleared by :class:`_Cleared`, a grid g.  Without ``quad``, a
-    certificate comes first: every diagonal cell is zero, g[1,2] != 0 and
-    the relations (1, 2, k, l) hold for 3 <= k < l <= n.  Then every
-    relation holds, and the report is empty; otherwise every quadruple is
-    scanned, and only the scan builds violations.  Proof: take a_c = g[1,c],
-    b_c = g[2,c] for c >= 2 and a_1 = 0, b_1 = -g[1,2], and the 2x2 minors
+    certificate comes first: when every diagonal cell is zero and
+    g[1,2] != 0, the relations (1, 2, k, l) for 3 <= k < l <= n are tested,
+    and each one that fails names a bad cell (k, l).  Only the quadruples
+    that hold a bad cell among their six index pairs can fail, so only those
+    are scanned, and none when no cell is bad; every quadruple is scanned
+    when the diagonal or g[1,2] rules the certificate out, or when the bad
+    cells would name more candidates than there are quadruples.  Only the
+    scan builds violations.  Proof: take a_c = g[1,c], b_c = g[2,c] for
+    c >= 2 and a_1 = 0, b_1 = -g[1,2], and the 2x2 minors
     D(k,l) = a_k*b_l - a_l*b_k.  Then D(k,l) = g[1,2]*g[k,l] for k <= l: for
-    k = l, k = 1 or k = 2 by the zero diagonal, and for k >= 3 it is the
-    relation (1, 2, k, l).  The minors of any 2 x n matrix satisfy
+    k = l, k = 1 or k = 2 by the zero diagonal, and for k >= 3 exactly when
+    the relation (1, 2, k, l) holds.  The minors of any 2 x n matrix satisfy
     D(i,k)*D(j,l) = D(i,j)*D(k,l) + D(i,l)*D(j,k) (the three-term Plücker
-    relation), so each relation i <= j <= k <= l holds on g multiplied by
-    g[1,2]^2, which is nonzero.  The certificate reads only cells the scan
-    reads, the upper triangle and the diagonal.
+    relation).  A relation i <= j <= k <= l reads the six cells (i,k),
+    (j,l), (i,j), (k,l), (i,l), (j,k); when none is bad, substituting
+    g[1,2]*g for D turns Plücker into the relation multiplied by g[1,2]^2,
+    which is nonzero, so the relation holds.  The certificate reads only
+    cells the scan reads, the upper triangle and the diagonal.
     """
     n = m.n
     if quad is not None and not (1 <= quad[0] <= quad[1] <= quad[2] <= quad[3] <= n):
@@ -440,11 +446,14 @@ def check_ptolemy(
     if quad is not None:
         quads = [tuple(x - 1 for x in quad)]
     else:
-        certificate = ((0, 1, k, l) for k in range(2, n) for l in range(k + 1, n))
-        diagonal = all(g[i][i] == z for i in range(n))
-        if diagonal and g[0][1] != z and next(failing(certificate), None) is None:
-            return ValidationReport()
         quads = itertools.combinations_with_replacement(range(n), 4)
+        if g[0][1] != z and all(g[i][i] == z for i in range(n)):
+            certificate = ((0, 1, k, l) for k in range(2, n) for l in range(k + 1, n))
+            bad = [(k, l) for _, _, k, l in failing(certificate)]
+            # Each bad cell names n(n+1)/2 candidates; there are C(n+3, 4) quadruples.
+            if len(bad) * n * (n + 1) // 2 <= math.comb(n + 3, 4):
+                pairs = list(itertools.combinations_with_replacement(range(n), 2))
+                quads = sorted({tuple(sorted((p, q, x, y))) for p, q in bad for x, y in pairs})
     out = []
     for i, j, k, l in failing(quads):
         # gi[j]*g[k][l] + gi[l]*gj[k] is the 2x2 determinant with -gj[k].

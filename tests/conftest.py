@@ -21,8 +21,11 @@ from friezecalc import (
     FieldMismatchError,
     FriezeMatrix,
     SeedRow,
+    TwoRowMatrix,
     ZeroEntryError,
+    ZeroMinorError,
     build_from_seeds,
+    delta_minor_matrix,
     parse_element,
     serialize,
 )
@@ -282,6 +285,24 @@ def random_frieze_matrix(
         except ZeroEntryError:
             continue
     raise ValueError(f"no frieze matrix of size {n} found in {max_tries} tries")
+
+
+def reference_random_two_row_matrix(
+    rng: random.Random, n: int, max_abs: int = 9, max_tries: int = 500
+) -> TwoRowMatrix:
+    """The draw that tested every minor by building the whole minor matrix
+    in field elements: the reference for `random_two_row_matrix`."""
+    for _ in range(max_tries):
+        x = TwoRowMatrix(
+            tuple(RATIONAL.from_int(rng.randint(-max_abs, max_abs)) for _ in range(n)),
+            tuple(RATIONAL.from_int(rng.randint(-max_abs, max_abs)) for _ in range(n)),
+        )
+        try:
+            delta_minor_matrix(x)
+        except ZeroMinorError:
+            continue
+        return x
+    raise ValueError(f"no nonzero-minor 2x{n} matrix found in {max_tries} tries")
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ from friezecalc.classical import DetCheckReport
 from friezecalc.generators import random_triangulation, random_two_row_matrix
 from friezecalc.matrix import FriezeMatrix
 
-from conftest import Q5, outcome, rat, reference_bareiss
+from conftest import Q5, outcome, rat, reference_bareiss, reference_random_two_row_matrix
 
 
 def ints(*vs):
@@ -277,6 +277,17 @@ def test_minors_match_the_triple_read_reference(rows):
         (baur_marsh_det_check, reference_baur_marsh_det_check),
     ):
         assert outcome(with_fields(check), x, None) == outcome(with_fields(reference), x, None)
+
+
+def test_two_row_draws_match_the_reference():
+    """Testing the minors on the drawn ints keeps every draw and every rng
+    call of the draw that built the minor matrix."""
+    for seed in (1, 2, 3):
+        for n in range(2, 21):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_two_row_matrix(rng, n) == reference_random_two_row_matrix(ref, n)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_each_minor_is_computed_once(monkeypatch):

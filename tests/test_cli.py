@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
+import re
+import shlex
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friezecalc import FieldDescriptor, FriezeMatrix, cli, parse_element, serialize, zerofrieze
-from friezecalc.cli import DEFAULT_SEED, run
+from friezecalc.cli import DEFAULT_SEED, _dumps, run
 from friezecalc.generators import random_two_row_matrix
 
 from conftest import FIXTURES
@@ -637,3 +642,65 @@ class TestMatrixDocumentMemo:
         assert run(["validate", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+
+
+_json_leaves = (
+    st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "\u00e9", "\U0001f600"])
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def values_with_a_shared_row(draw):
+    """A nested value holding one list of strings twice at one depth and once
+    at another, which a text kept by id alone would indent wrongly."""
+    row = draw(st.lists(st.text(), max_size=4))
+    return {"twice": [row, row], "once": row, "value": draw(_json_values)}
+
+
+def _readme_commands():
+    """The commands of the README's CLI block, each a list of argv pipeline stages."""
+    text = (FIXTURES.parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [
+        [shlex.split(part, comments=True)[1:] for part in line.split("|")]
+        for line in lines
+        if line.startswith("friezecalc ")
+    ]
+
+
+class TestJsonWriter:
+    @given(_json_values | values_with_a_shared_row())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    def test_float_raises(self):
+        for value in (1.5, [1, 2.0], {"a": (float("nan"),)}):
+            with pytest.raises(TypeError):
+                _dumps(value)
+
+    def test_readme_commands_print_the_json_layout(self, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURES.parent.parent)
+        commands = _readme_commands()
+        assert len(commands) == 17  # one of them a pipe of two
+        for stages in commands:
+            stdin = ""
+            for argv in stages:
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+                assert run(argv) in (0, 1)
+                stdin = capsys.readouterr().out
+            if "--grid" not in argv:
+                assert stdin == json.dumps(json.loads(stdin), indent=2) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -272,8 +273,11 @@ class _CountingInt(int):
 
 def test_valid_matrix_is_cleared_by_the_first_two_rows(monkeypatch):
     """A valid 20 x 20 matrix over Q is cleared after the (n-2)(n-3)/2 = 153
-    relations (1, 2, k, l), three products each, with no scan; a corrupted
-    one still gets the reference report."""
+    relations (1, 2, k, l), three products each, with no scan.  A corrupted
+    one gets the reference report: one bad cell (5, 12) is scanned through
+    its n(n+1)/2 = 210 quadruples alone; a changed first row fails many
+    relations (1, 2, k, l), and a changed g[1,2] fails them all, which
+    scans every quadruple."""
 
     class Counted(matrix._Cleared):
         def __init__(self, rows, field=None):
@@ -285,13 +289,19 @@ def test_valid_matrix_is_cleared_by_the_first_two_rows(monkeypatch):
     _CountingInt.products = 0
     assert check_ptolemy(m).ok
     assert _CountingInt.products == 3 * 153
-    rows = [list(r) for r in m.rows()]
-    rows[4][11] = rows[11][4] = rows[4][11] + rat(1)
-    bad = FriezeMatrix(rows)
-    _CountingInt.products = 0
-    report = check_ptolemy(bad)
-    assert _CountingInt.products > 3 * 153
-    assert not report.ok and ptolemy_violations(report) == reference_ptolemy(bad)
+    for i, j in ((5, 12), (1, 7), (1, 2)):
+        rows = [list(r) for r in m.rows()]
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = rows[i - 1][j - 1] + rat(1)
+        bad = FriezeMatrix(rows)
+        _CountingInt.products = 0
+        report = check_ptolemy(bad)
+        assert not report.ok and ptolemy_violations(report) == reference_ptolemy(bad)
+        # Three products per relation tested, and three more per violation built.
+        scanned = _CountingInt.products // 3 - 153 - len(report.violations)
+        if (i, j) == (5, 12):
+            assert 0 < scanned <= 20 * 21 // 2
+        if (i, j) == (1, 2):
+            assert scanned == math.comb(23, 4)
 
 
 @given(matrices_with_zero_pairs())
